@@ -1,13 +1,20 @@
-"""Minimal reverse-mode differentiation over numpy arrays.
+"""Reverse-mode differentiation over numpy arrays, one graph node per layer.
 
-Only the operations the recurrent predictor needs: linear maps, elementwise
-gates, column concat/slice, embedding lookups, softmax cross-entropy, and a
-circular absolute error. Values are float64 throughout. Each operation
-records a closure on the built graph; `backward` replays them in reverse
-topological order and accumulates into leaf `.grad` buffers, so repeated
-calls without `zero_grad` add up.
+A `Tensor` holds a float64 value, the tensors it was computed from
+(`parents`) and a closure (`_backward`) that adds its gradient into theirs.
+`backward` replays the closures in reverse topological order and
+accumulates into leaf `.grad` buffers, so repeated calls without
+`zero_grad` add up.
 
-Conventions: batched activations are (B, dim); weight matrices are
+The operations are the few the recurrent predictor needs. `gru_sequence`
+runs a whole GRU chain as one node: the input projection is one matrix
+product over every step, hoisted out of the recurrence, and its backward
+pass is hand-written backpropagation through time. `embedding`,
+`concat_cols` and `affine` build the chains' inputs and the heads;
+`softmax_xent`, `circular_abs`, `cmul`, `smul`, `add` and `mean` build the
+loss.
+
+Conventions: sequences are batch-major (B, T, dim); weight matrices are
 (out, in) and applied as ``x @ W.T``; no general broadcasting.
 """
 
@@ -91,80 +98,42 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Primitives
+# Layers and loss terms
 # ---------------------------------------------------------------------------
 
-def linear(x: Tensor, w: Tensor) -> Tensor:
-    """x (B, n) times w (m, n) transposed -> (B, m)."""
-    if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[1]:
-        raise GradError(f"linear shape mismatch: {x.shape} x {w.shape}")
-    out = Tensor(x.value @ w.value.T, parents=(x, w))
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Fully connected layer: x (B, n), w (m, n), b (m,) -> x @ W.T + b."""
+    if (x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[1]
+            or b.value.shape != w.value.shape[:1]):
+        raise GradError(f"affine shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    out = Tensor(x.value @ w.value.T + b.value, parents=(x, w, b))
 
     def bw(g, getbuf):
-        bx, bw_ = getbuf(x), getbuf(w)
+        bx, bw_, bb = getbuf(x), getbuf(w), getbuf(b)
         bx += g @ w.value
         bw_ += g.T @ x.value
+        bb += g.sum(axis=0)
 
-    out._backward = bw
-    return out
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    if b.value.ndim != 1 or x.value.shape[-1] != b.value.shape[0]:
-        raise GradError(f"bias shape mismatch: {x.shape} + {b.shape}")
-    out = Tensor(x.value + b.value, parents=(x, b))
-
-    def bw(g, getbuf):
-        bx, bb = getbuf(x), getbuf(b)
-        bx += g
-        bb += g.sum(axis=0) if g.ndim == 2 else g
-
-    out._backward = bw
-    return out
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Fully connected layer, x @ W.T + b."""
-    return add_bias(linear(x, w), b)
-
-
-def _binop(a: Tensor, b: Tensor, value, bw) -> Tensor:
-    if a.value.shape != b.value.shape:
-        raise GradError(f"shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(value, parents=(a, b))
     out._backward = bw
     return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.value.shape != b.value.shape:
+        raise GradError(f"shape mismatch: {a.shape} vs {b.shape}")
+    out = Tensor(a.value + b.value, parents=(a, b))
+
     def bw(g, getbuf):
         ba, bb = getbuf(a), getbuf(b)
         ba += g
         bb += g
 
-    return _binop(a, b, a.value + b.value, bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g, getbuf):
-        ba, bb = getbuf(a), getbuf(b)
-        ba += g
-        bb -= g
-
-    return _binop(a, b, a.value - b.value, bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g, getbuf):
-        ba, bb = getbuf(a), getbuf(b)
-        ba += g * b.value
-        bb += g * a.value
-
-    return _binop(a, b, a.value * b.value, bw)
+    out._backward = bw
+    return out
 
 
 def cmul(x: Tensor, c) -> Tensor:
-    """Multiply by a constant array broadcastable over x (e.g. step masks)."""
+    """Multiply by a constant array broadcastable over x (e.g. per-row weights)."""
     c = np.asarray(c, dtype=np.float64)
     out = Tensor(x.value * c, parents=(x,))
     if out.value.shape != x.value.shape:
@@ -189,70 +158,23 @@ def smul(x: Tensor, k: float) -> Tensor:
     return out
 
 
-def one_minus(x: Tensor) -> Tensor:
-    out = Tensor(1.0 - x.value, parents=(x,))
-
-    def bw(g, getbuf):
-        bx = getbuf(x)
-        bx -= g
-
-    out._backward = bw
-    return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    v = np.empty_like(x.value)
-    pos = x.value >= 0
-    v[pos] = 1.0 / (1.0 + np.exp(-x.value[pos]))
-    ex = np.exp(x.value[~pos])
-    v[~pos] = ex / (1.0 + ex)
-    out = Tensor(v, parents=(x,))
-
-    def bw(g, getbuf):
-        bx = getbuf(x)
-        bx += g * v * (1.0 - v)
-
-    out._backward = bw
-    return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    v = np.tanh(x.value)
-    out = Tensor(v, parents=(x,))
-
-    def bw(g, getbuf):
-        bx = getbuf(x)
-        bx += g * (1.0 - v * v)
-
-    out._backward = bw
-    return out
-
-
 def concat_cols(xs: list[Tensor]) -> Tensor:
-    out = Tensor(np.concatenate([x.value for x in xs], axis=1), parents=tuple(xs))
-    offsets = np.cumsum([0] + [x.value.shape[1] for x in xs])
+    """Concatenate along the last axis; the leading shapes must agree."""
+    out = Tensor(np.concatenate([x.value for x in xs], axis=-1), parents=tuple(xs))
+    offsets = np.cumsum([0] + [x.value.shape[-1] for x in xs])
 
     def bw(g, getbuf):
         for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
             bx = getbuf(x)
-            bx += g[:, lo:hi]
-
-    out._backward = bw
-    return out
-
-
-def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
-    out = Tensor(x.value[:, lo:hi], parents=(x,))
-
-    def bw(g, getbuf):
-        getbuf(x)[:, lo:hi] += g
+            bx += g[..., lo:hi]
 
     out._backward = bw
     return out
 
 
 def embedding(table: Tensor, idx) -> Tensor:
-    """Rows of `table` at integer indices (B,); gradient scatters into rows."""
+    """Rows of `table` at an integer index array of any shape, giving
+    idx.shape + (dim,); the gradient scatters back into the rows."""
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= table.value.shape[0]):
         raise GradError(f"embedding index out of range for table {table.shape}")
@@ -342,7 +264,7 @@ def total(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# GRU cell
+# GRU
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -359,21 +281,79 @@ class GRUWeights:
         return self.w_h.value.shape[1]
 
 
-def gru_step(x: Tensor, h_prev: Tensor, w: GRUWeights, mask=None) -> Tensor:
-    """One GRU step: z = sig(Wz x + Uz h + bz), r = sig(Wr x + Ur h + br),
-    n = tanh(Wn x + r * (Un h) + bn), h' = (1 - z) * n + z * h.
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + np.tanh(0.5 * v))
 
-    `mask` (B, 1 or B,) of 0/1 passes h_prev through unchanged on masked rows,
-    so padded steps contribute nothing to the state evolution.
+
+def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, mask=None) -> tuple[Tensor, Tensor]:
+    """Run one GRU over x (B, T, in) from h0 (B, H). Returns the final state
+    (B, H) and every step's state (B, T, H); with T = 0 the final state is h0.
+
+    Each step computes z = sig(Wz x + Uz h + bz), r = sig(Wr x + Ur h + br),
+    n = tanh(Wn x + r * (Un h) + bn) and h' = (1 - z) * n + z * h. `mask`
+    (B, T) of 0/1 passes h through unchanged where it is 0, so padded steps
+    contribute nothing to the state or the gradients.
     """
-    hdim = w.hidden
-    gx = add_bias(linear(x, w.w_x), w.bias)
-    gh = linear(h_prev, w.w_h)
-    z = sigmoid(add(slice_cols(gx, 0, hdim), slice_cols(gh, 0, hdim)))
-    r = sigmoid(add(slice_cols(gx, hdim, 2 * hdim), slice_cols(gh, hdim, 2 * hdim)))
-    n = tanh(add(slice_cols(gx, 2 * hdim, 3 * hdim), mul(r, slice_cols(gh, 2 * hdim, 3 * hdim))))
-    h_new = add(mul(one_minus(z), n), mul(z, h_prev))
-    if mask is None:
-        return h_new
-    m = np.asarray(mask, dtype=np.float64).reshape(-1, 1)
-    return add(cmul(h_new, m), cmul(h_prev, 1.0 - m))
+    if x.value.ndim != 3:
+        raise GradError(f"gru_sequence needs x of shape (B, T, in), got {x.shape}")
+    bsz, steps, d_in = x.value.shape
+    hd = w.hidden
+    if (h0.value.shape != (bsz, hd) or w.w_x.value.shape != (3 * hd, d_in)
+            or w.w_h.value.shape != (3 * hd, hd) or w.bias.value.shape != (3 * hd,)
+            or (mask is not None and np.shape(mask) != (bsz, steps))):
+        raise GradError(f"gru_sequence shape mismatch: x {x.shape}, h0 {h0.shape}, w_x {w.w_x.shape}")
+    if steps == 0:
+        return h0, constant(np.zeros((bsz, 0, hd)))
+    keep = None if mask is None else np.asarray(mask, dtype=np.float64).T[:, :, None]  # (T, B, 1)
+    wx, wh = w.w_x.value, w.w_h.value
+
+    # time-major buffers for the recurrence and for what the backward pass reads
+    gx = (x.value.reshape(-1, d_in) @ wx.T + w.bias.value).reshape(bsz, steps, 3 * hd)
+    hs = np.empty((steps + 1, bsz, hd))
+    hs[0] = h0.value
+    zr = np.empty((steps, bsz, 2 * hd))
+    n = np.empty((steps, bsz, hd))
+    hn = np.empty((steps, bsz, hd))
+    for t in range(steps):
+        h = hs[t]
+        gh = h @ wh.T
+        zr[t] = _sigmoid(gx[:, t, : 2 * hd] + gh[:, : 2 * hd])
+        z, r = zr[t, :, :hd], zr[t, :, hd:]
+        hn[t] = gh[:, 2 * hd:]
+        n[t] = np.tanh(gx[:, t, 2 * hd:] + r * hn[t])
+        h_new = (1.0 - z) * n[t] + z * h
+        hs[t + 1] = h_new if keep is None else h_new * keep[t] + h * (1.0 - keep[t])
+
+    seq = Tensor(hs[1:].transpose(1, 0, 2), parents=(x, h0, w.w_x, w.w_h, w.bias))
+    last = Tensor(hs[steps], parents=(seq,))
+
+    def bw_last(g, getbuf):
+        getbuf(seq)[:, -1] += g
+
+    def bw_seq(g, getbuf):
+        dgx = np.empty((bsz, steps, 3 * hd))
+        dgh = np.empty((steps, bsz, 3 * hd))
+        dh = np.zeros((bsz, hd))
+        for t in reversed(range(steps)):
+            dh += g[:, t]
+            z, r = zr[t, :, :hd], zr[t, :, hd:]
+            d_new = dh if keep is None else dh * keep[t]
+            dn = d_new * (1.0 - n[t] * n[t]) * (1.0 - z)
+            dgh[t, :, :hd] = d_new * (hs[t] - n[t]) * z * (1.0 - z)
+            dgh[t, :, hd: 2 * hd] = dn * hn[t] * r * (1.0 - r)
+            dgh[t, :, 2 * hd:] = dn * r
+            dgx[:, t, : 2 * hd] = dgh[t, :, : 2 * hd]
+            dgx[:, t, 2 * hd:] = dn
+            carry = d_new * z + dgh[t] @ wh
+            dh = carry if keep is None else carry + dh * (1.0 - keep[t])
+        dgx_rows = dgx.reshape(-1, 3 * hd)
+        bx, bh0, bwx, bwh, bb = getbuf(x), getbuf(h0), getbuf(w.w_x), getbuf(w.w_h), getbuf(w.bias)
+        bh0 += dh
+        bx += (dgx_rows @ wx).reshape(bsz, steps, d_in)
+        bwx += dgx_rows.T @ x.value.reshape(-1, d_in)
+        bb += dgx_rows.sum(axis=0)
+        bwh += dgh.reshape(-1, 3 * hd).T @ hs[:-1].reshape(-1, hd)
+
+    seq._backward = bw_seq
+    last._backward = bw_last
+    return last, seq

@@ -118,10 +118,7 @@ def cmd_prepare(cfg: RunConfig) -> None:
 
 def cmd_train(cfg: RunConfig, resume: str | None) -> None:
     vocab, users = _load_dataset(cfg)
-    try:
-        mc = _model_config(cfg, vocab)
-    except ConfigError as e:
-        raise CliError("config-invalid", str(e)) from e
+    mc = _model_config(cfg, vocab)
     weights = LossWeights(cfg.lambda_t, cfg.lambda_c, cfg.lambda_s)
     hyper = TrainHyper(cfg.learning_rate, cfg.batch_size, cfg.epochs, cfg.patience, cfg.clip_norm)
     initial, start_epoch = None, 0
@@ -140,11 +137,7 @@ def cmd_train(cfg: RunConfig, resume: str | None) -> None:
             f"recall@1={r[1]:.4f} @5={r[5]:.4f} @10={r[10]:.4f}"
         )
 
-    try:
-        result = fit(users, vocab, mc, weights, hyper, cfg.seed, initial=initial,
-                     start_epoch=start_epoch, log=log)
-    except TrainingDiverged as e:
-        raise CliError("diverged", str(e)) from e
+    result = fit(users, vocab, mc, weights, hyper, cfg.seed, initial=initial, start_epoch=start_epoch, log=log)
     meta = {
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
@@ -308,15 +301,21 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sweep":
             cmd_sweep(cfg, args.lambda_grid, [int(s) for s in args.seeds.split(",")])
     except ConfigFileError as e:
-        print(f"nextloc-error: config-invalid: {'; '.join(str(e).splitlines())}", file=sys.stderr)
-        return 2
+        return _fail("config-invalid", "; ".join(str(e).splitlines()), status=2)
     except CliError as e:
-        print(f"nextloc-error: {e.kind}: {e}", file=sys.stderr)
-        return 1
+        return _fail(e.kind, e)
+    except ConfigError as e:
+        return _fail("config-invalid", e)
+    except TrainingDiverged as e:
+        return _fail("diverged", e)
     except (ingest.IngestError, preprocess.PreprocessError, CheckpointError) as e:
-        print(f"nextloc-error: pipeline: {e}", file=sys.stderr)
-        return 1
+        return _fail("pipeline", e)
     return 0
+
+
+def _fail(kind: str, message, status: int = 1) -> int:
+    print(f"nextloc-error: {kind}: {message}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

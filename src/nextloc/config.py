@@ -122,12 +122,6 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     return cfg
 
 
-def validate(cfg: RunConfig) -> None:
-    problems = validation_problems(cfg)
-    if problems:
-        raise ConfigFileError("\n".join(problems))
-
-
 def validation_problems(cfg: RunConfig) -> list[str]:
     problems = []
     if cfg.dataset_format not in ("foursquare", "gowalla"):

@@ -229,69 +229,56 @@ def gru_weights(store: ParamStore, prefix: str) -> GRUWeights:
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def embed_step(store: ParamStore, cfg: ModelConfig, loc, cat, hour, day, user_emb: Tensor) -> Tensor:
-    """One record's embedding, e_loc + e_cat + e_hour + e_day + e_user
-    concatenated in that order; (B, dim_record)."""
-    cat_idx = np.asarray(cat) if cfg.has_categories else np.zeros(len(np.asarray(cat)), dtype=np.intp)
+def embed_step(store: ParamStore, cfg: ModelConfig, loc, cat, hour, day, user) -> Tensor:
+    """Embeddings of a (B, T) array of records, e_loc + e_cat + e_hour + e_day
+    + e_user concatenated in that order; (B, T, dim_record). `user` (B,)
+    gives each row's user."""
+    loc = np.asarray(loc)
+    cat_idx = np.asarray(cat) if cfg.has_categories else np.zeros(loc.shape, dtype=np.intp)
     return ad.concat_cols(
         [
             ad.embedding(store["emb.loc"], loc),
             ad.embedding(store["emb.cat"], cat_idx),
             ad.embedding(store["emb.hour"], hour),
             ad.embedding(store["emb.day"], day),
-            user_emb,
+            ad.embedding(store["emb.user"], np.broadcast_to(np.asarray(user)[:, None], loc.shape)),
         ]
     )
 
 
-def _embed_sequence(store, cfg, loc, cat, hour, day, user_emb) -> list[Tensor]:
-    return [
-        embed_step(store, cfg, loc[:, t], cat[:, t], hour[:, t], day[:, t], user_emb)
-        for t in range(loc.shape[1])
-    ]
-
-
-def run_gru(w: GRUWeights, h0: Tensor, steps: list[Tensor], masks: np.ndarray | None) -> tuple[Tensor, list[Tensor]]:
-    """Unroll one GRU; returns the final hidden state and every step's state."""
-    h = h0
-    states = []
-    for t, x in enumerate(steps):
-        h = ad.gru_step(x, h, w, mask=None if masks is None else masks[:, t])
-        states.append(h)
-    return h, states
+def run_gru(w: GRUWeights, h0: Tensor, x: Tensor, mask: np.ndarray | None) -> tuple[Tensor, Tensor]:
+    """One GRU chain over x (B, T, in); returns the final hidden state and
+    every step's state (B, T, hidden)."""
+    return ad.gru_sequence(x, h0, w, mask)
 
 
 def lsc_forward(
     long_w: GRUWeights,
     short_w: GRUWeights,
-    long_steps: list[Tensor],
-    short_steps: list[Tensor],
+    long_x: Tensor,
+    short_x: Tensor,
     h0: Tensor,
     long_masks: np.ndarray | None = None,
     short_masks: np.ndarray | None = None,
-    collect: bool = False,
-):
+) -> tuple[Tensor, Tensor, Tensor]:
     """Long/short-term capturer: the long GRU runs over prior-session records
-    from h0 (h0 itself if there are none) and its final state seeds the short
-    GRU over the current prefix. Returns the short GRU's final state, plus
-    per-step states of both chains when `collect`."""
-    if not short_steps:
+    (B, Th, in) from h0 (h0 itself if there are none) and its final state
+    seeds the short GRU over the current prefix (B, Tp, in). Returns the
+    short GRU's final state and the per-step states of both chains."""
+    if short_x.shape[1] == 0:
         raise ValueError("prediction needs a non-empty current-session prefix")
-    h_long, long_states = run_gru(long_w, h0, long_steps, long_masks)
-    h_short, short_states = run_gru(short_w, h_long, short_steps, short_masks)
-    if collect:
-        return h_short, long_states, short_states
-    return h_short
+    h_long, long_states = run_gru(long_w, h0, long_x, long_masks)
+    h_short, short_states = run_gru(short_w, h_long, short_x, short_masks)
+    return h_short, long_states, short_states
 
 
 def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
     """Run the configured variant on a padded batch."""
-    user_emb = ad.embedding(store["emb.user"], batch.user)
-    hist = _embed_sequence(store, cfg, batch.hist_loc, batch.hist_cat, batch.hist_hour, batch.hist_day, user_emb)
-    pref = _embed_sequence(store, cfg, batch.pref_loc, batch.pref_cat, batch.pref_hour, batch.pref_day, user_emb)
+    hist = embed_step(store, cfg, batch.hist_loc, batch.hist_cat, batch.hist_hour, batch.hist_day, batch.user)
+    pref = embed_step(store, cfg, batch.pref_loc, batch.pref_cat, batch.pref_hour, batch.pref_day, batch.user)
     zero_h = ad.constant(np.zeros((batch.size, cfg.hidden)))
 
-    def run_branch(branch: str, h0: Tensor, hist_in=hist, pref_in=pref, collect=False):
+    def run_branch(branch: str, h0: Tensor, hist_in: Tensor = hist, pref_in: Tensor = pref):
         return lsc_forward(
             gru_weights(store, f"gru.{branch}.long"),
             gru_weights(store, f"gru.{branch}.short"),
@@ -300,7 +287,6 @@ def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
             h0,
             long_masks=batch.hist_mask,
             short_masks=batch.pref_mask,
-            collect=collect,
         )
 
     def head(branch: str, h: Tensor) -> Tensor:
@@ -311,7 +297,7 @@ def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
         h_prev = zero_h
         upstream = None
         for branch in cfg.branches:
-            h = run_branch(branch, h_prev)
+            h = run_branch(branch, h_prev)[0]
             if upstream is None:
                 x = h
             else:
@@ -323,10 +309,10 @@ def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
         return BranchState(preds.get("time"), preds.get("cat"), preds["loc"])
 
     if cfg.variant == "lsl":
-        return BranchState(None, None, head("loc", run_branch("loc", zero_h)))
+        return BranchState(None, None, head("loc", run_branch("loc", zero_h)[0]))
 
     if cfg.variant == "sblsl":
-        h = run_branch("shared", zero_h)
+        h = run_branch("shared", zero_h)[0]
         return BranchState(
             head("time", h),
             head("cat", h) if cfg.cat_head_active else None,
@@ -334,7 +320,7 @@ def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
         )
 
     if cfg.variant == "slsl":
-        out = {b: head(b, run_branch(b, zero_h)) for b in cfg.branches}
+        out = {b: head(b, run_branch(b, zero_h)[0]) for b in cfg.branches}
         return BranchState(out["time"], out.get("cat"), out["loc"])
 
     # hlsl: each downstream GRU sees e_r concatenated with the upstream
@@ -342,8 +328,8 @@ def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
     hist_in, pref_in = hist, pref
     preds = {}
     for branch in cfg.branches:
-        h, long_states, short_states = run_branch(branch, zero_h, hist_in, pref_in, collect=True)
+        h, long_states, short_states = run_branch(branch, zero_h, hist_in, pref_in)
         preds[branch] = head(branch, h)
-        hist_in = [ad.concat_cols([e, s]) for e, s in zip(hist, long_states)]
-        pref_in = [ad.concat_cols([e, s]) for e, s in zip(pref, short_states)]
+        hist_in = ad.concat_cols([hist, long_states])
+        pref_in = ad.concat_cols([pref, short_states])
     return BranchState(preds["time"], preds.get("cat"), preds["loc"])

@@ -56,13 +56,6 @@ def spatial_coefficients(loc_logits: np.ndarray, target_loc: np.ndarray, loc_coo
     return d
 
 
-def spatial_loss(loc_logits: Tensor, target_loc, loc_coord) -> Tensor:
-    """Per-instance distance-weighted cross-entropy, d * (-log p[target])."""
-    target_loc = np.asarray(target_loc)
-    d = spatial_coefficients(loc_logits.value, target_loc, loc_coord)
-    return ad.softmax_xent(loc_logits, target_loc, weights=d)
-
-
 def total_loss(
     state: BranchState,
     target_t: np.ndarray,
@@ -76,9 +69,10 @@ def total_loss(
     Inactive heads contribute exactly 0. Returns the differentiable total and
     a plain-float breakdown.
     """
-    loss_l = ad.mean(ad.softmax_xent(state.loc_logits, target_loc))
+    nll = ad.softmax_xent(state.loc_logits, target_loc)
     d = spatial_coefficients(state.loc_logits.value, np.asarray(target_loc), loc_coord)
-    loss_s = ad.mean(ad.softmax_xent(state.loc_logits, target_loc, weights=d))
+    loss_l = ad.mean(nll)
+    loss_s = ad.mean(ad.cmul(nll, d))
 
     node = ad.add(loss_l, ad.smul(loss_s, weights.lambda_s))
     t_val = c_val = 0.0

@@ -9,7 +9,9 @@ Checkpoint layout (version 1, documented byte-exact):
 * then, for each tensor in header order: parameter values, first moment,
   second moment, each as C-order float64 little-endian raw bytes.
 
-Loading reproduces the store bit-exactly.
+Loading reproduces the store bit-exactly. It raises `CheckpointError` for a
+header that is not such JSON, a truncated tensor, or bytes after the last
+tensor.
 """
 
 from __future__ import annotations
@@ -75,9 +77,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self.entries)
 
-    def n_params(self) -> int:
-        return sum(e.tensor.value.size for e in self.entries.values())
-
     def zero_grad(self) -> None:
         for e in self.entries.values():
             e.tensor.zero_grad()
@@ -137,22 +136,29 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
         n = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(n).decode("utf-8"))
-        if header.get("version") != 1:
-            raise CheckpointError(f"{path}: unsupported version {header.get('version')}")
-        store = ParamStore(seed=header["seed"])
-        store.step = int(header["step"])
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
+        try:
+            header = json.loads(fh.read(n).decode("utf-8"))
+            version, meta = header["version"], dict(header["meta"])
+            step, seed = int(header["step"]), int(header["seed"])
+            specs = [(str(t["name"]), tuple(int(d) for d in t["shape"])) for t in header["tensors"]]
+        except (ValueError, KeyError, TypeError) as e:
+            raise CheckpointError(f"{path}: unreadable header: {type(e).__name__}: {e}") from None
+        if version != 1:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        store = ParamStore(seed=seed)
+        store.step = step
+        for name, shape in specs:
             count = int(np.prod(shape)) if shape else 1
             entry_arrays = []
             for _ in range(3):
                 raw = fh.read(count * 8)
                 if len(raw) != count * 8:
-                    raise CheckpointError(f"{path}: truncated tensor {spec['name']}")
+                    raise CheckpointError(f"{path}: truncated tensor {name}")
                 entry_arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
             t = Tensor(entry_arrays[0], requires_grad=True)
             e = _Entry(t)
             e.m, e.v = entry_arrays[1], entry_arrays[2]
-            store.entries[spec["name"]] = e
-    return store, header["meta"]
+            store.entries[name] = e
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the last tensor")
+    return store, meta

@@ -60,7 +60,7 @@ def test_affine_matches_hand_multiply():
 
 def test_affine_shape_mismatch_fatal():
     with pytest.raises(GradError):
-        ad.linear(ad.constant(np.zeros((1, 3))), ad.constant(np.zeros((2, 4))))
+        ad.affine(ad.constant(np.zeros((1, 3))), ad.constant(np.zeros((2, 4))), ad.constant(np.zeros(2)))
 
 
 def test_backward_through_identity_affine():
@@ -85,7 +85,7 @@ def test_repeated_backward_accumulates():
 
 
 # ---------------------------------------------------------------------------
-# GRU step
+# GRU sequence
 # ---------------------------------------------------------------------------
 
 def zero_gru(h, d_in):
@@ -98,14 +98,14 @@ def zero_gru(h, d_in):
 
 def test_gru_zero_weights_zero_state():
     w = zero_gru(4, 3)
-    out = ad.gru_step(ad.constant(np.ones((2, 3))), ad.constant(np.zeros((2, 4))), w)
+    out, _ = ad.gru_sequence(ad.constant(np.ones((2, 1, 3))), ad.constant(np.zeros((2, 4))), w)
     assert np.array_equal(out.value, np.zeros((2, 4)))
 
 
 def test_gru_zero_weights_halves_state():
     w = zero_gru(4, 3)
     v = np.array([[1.0, -2.0, 0.5, 3.0]])
-    out = ad.gru_step(ad.constant(np.ones((1, 3))), ad.constant(v), w)
+    out, _ = ad.gru_sequence(ad.constant(np.ones((1, 1, 3))), ad.constant(v), w)
     assert np.allclose(out.value, 0.5 * v, atol=1e-15)
 
 
@@ -138,7 +138,7 @@ def test_gru_matches_scalar_oracle():
         ad.constant(rng.normal(size=3 * hd)),
     )
     x, h = rng.normal(size=d_in), rng.normal(size=hd)
-    got = ad.gru_step(ad.constant(x[None]), ad.constant(h[None]), w).value[0]
+    got = ad.gru_sequence(ad.constant(x[None, None]), ad.constant(h[None]), w)[0].value[0]
     want = scalar_gru_oracle(x, h, w.w_x.value, w.w_h.value, w.bias.value)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -151,12 +151,80 @@ def test_gru_mask_passes_state_through():
         ad.parameter(rng.normal(size=12)),
     )
     h = rng.normal(size=(2, 4))
-    out = ad.gru_step(ad.constant(rng.normal(size=(2, 3))), ad.constant(h), w, mask=np.array([0.0, 1.0]))
+    out, _ = ad.gru_sequence(ad.constant(rng.normal(size=(2, 1, 3))), ad.constant(h), w, mask=np.array([[0.0], [1.0]]))
     assert np.array_equal(out.value[0], h[0])
     assert not np.array_equal(out.value[1], h[1])
     # masked row contributes no gradient
     backward(ad.total(ad.cmul(out, np.array([[1.0], [0.0]]))))
     assert np.array_equal(w.w_x.grad, np.zeros_like(w.w_x.grad))
+
+
+# rows end early, skip a middle step, are all padding, and run every step
+RAGGED = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+
+
+def random_gru(rng, d_in, hd):
+    return GRUWeights(
+        ad.parameter(rng.normal(size=(3 * hd, d_in))),
+        ad.parameter(rng.normal(size=(3 * hd, hd))),
+        ad.parameter(rng.normal(size=3 * hd)),
+    )
+
+
+def test_gru_sequence_matches_stepwise_oracle_on_ragged_masks():
+    rng = np.random.default_rng(3)
+    d_in, hd = 3, 4
+    w = random_gru(rng, d_in, hd)
+    x, h0 = rng.normal(size=(4, 4, d_in)), rng.normal(size=(4, hd))
+    last, seq = ad.gru_sequence(ad.constant(x), ad.constant(h0), w, mask=RAGGED)
+    for i in range(4):
+        h = h0[i]
+        for t in range(4):
+            if RAGGED[i, t]:
+                h = scalar_gru_oracle(x[i, t], h, w.w_x.value, w.w_h.value, w.bias.value)
+            assert np.allclose(seq.value[i, t], h, atol=1e-12)
+        assert np.allclose(last.value[i], h, atol=1e-12)
+    assert np.array_equal(seq.value[2], np.repeat(h0[2:3], 4, axis=0))
+
+
+def test_gru_sequence_gradient_finite_difference_on_ragged_masks():
+    rng = np.random.default_rng(4)
+    d_in, hd = 3, 4
+    w = random_gru(rng, d_in, hd)
+    x, h0 = ad.parameter(rng.normal(size=(4, 4, d_in))), ad.parameter(rng.normal(size=(4, hd)))
+    c_seq, c_last = rng.normal(size=(4, 4, hd)), rng.normal(size=(4, hd))
+
+    def build():
+        last, seq = ad.gru_sequence(x, h0, w, mask=RAGGED)
+        return ad.add(ad.total(ad.cmul(seq, c_seq)), ad.total(ad.cmul(last, c_last)))
+
+    backward(build())
+    params = [x, h0, w.w_x, w.w_h, w.bias]
+    fds = numeric_grad(lambda: float(build().value), [p.value for p in params])
+    for p, fd in zip(params, fds):
+        assert rel_err(p.grad, fd) < 1e-6
+    # padded steps take no gradient; the all-padding row hands its gradient straight to h0
+    assert np.array_equal(x.grad[RAGGED == 0], np.zeros((int((RAGGED == 0).sum()), d_in)))
+    assert np.allclose(h0.grad[2], c_seq[2].sum(axis=0) + c_last[2], atol=1e-12)
+
+
+def test_gru_sequence_without_steps_returns_h0():
+    w = random_gru(np.random.default_rng(5), 3, 4)
+    h0 = ad.parameter(np.ones((2, 4)))
+    last, seq = ad.gru_sequence(ad.constant(np.zeros((2, 0, 3))), h0, w, mask=np.zeros((2, 0)))
+    assert last is h0
+    assert seq.value.shape == (2, 0, 4)
+    backward(ad.total(ad.concat_cols([last, ad.smul(last, 2.0)])))
+    assert np.array_equal(h0.grad, np.full((2, 4), 3.0))
+    assert np.array_equal(w.w_x.grad, np.zeros((12, 3)))
+
+
+def test_gru_sequence_shape_mismatch_fatal():
+    w = zero_gru(4, 3)
+    with pytest.raises(GradError):
+        ad.gru_sequence(ad.constant(np.zeros((2, 5, 2))), ad.constant(np.zeros((2, 4))), w)
+    with pytest.raises(GradError):
+        ad.gru_sequence(ad.constant(np.zeros((2, 5, 3))), ad.constant(np.zeros((2, 4))), w, mask=np.ones((2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +234,15 @@ def test_gru_mask_passes_state_through():
 def test_embedding_returns_row():
     table = ad.constant(np.arange(12.0).reshape(4, 3))
     assert np.array_equal(ad.embedding(table, [0]).value, [[0.0, 1.0, 2.0]])
+
+
+def test_embedding_of_index_grid_scatters_every_entry():
+    table = ad.parameter(np.arange(12.0).reshape(4, 3))
+    idx = np.array([[0, 2, 2], [3, 0, 2]])
+    out = ad.embedding(table, idx)
+    assert np.array_equal(out.value, table.value[idx])
+    backward(ad.total(out))
+    assert np.array_equal(table.grad[:, 0], [2.0, 0.0, 3.0, 1.0])
 
 
 def test_embedding_out_of_range_fatal():
@@ -290,9 +367,7 @@ def test_composite_gradient_check(seed):
     target = rng.integers(0, k, size=2)
 
     def build():
-        h = ad.constant(np.zeros((2, hd)))
-        for x in xs:
-            h = ad.gru_step(ad.constant(x), h, w)
+        h, _ = ad.gru_sequence(ad.constant(np.stack(xs, axis=1)), ad.constant(np.zeros((2, hd))), w)
         logits = ad.affine(h, head_w, head_b)
         return ad.mean(ad.softmax_xent(logits, target))
 

@@ -265,3 +265,75 @@ def test_train_without_prepare_names_missing_artifact(tmp_path, capsys):
     rc = main(["train", "--config", str(cfg)])
     err = capsys.readouterr().err
     assert rc == 1 and "missing-artifact" in err and "vocab.txt" in err
+
+
+# ---------------------------------------------------------------------------
+# every failure ends in one nextloc-error line
+# ---------------------------------------------------------------------------
+
+def single_error_line(err: str) -> str:
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("nextloc-error:")]
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+def gowalla_copy(tmp_path) -> Path:
+    """The fixture's parseable records in the gowalla layout (no categories)."""
+    lines = []
+    for line in FIXTURE.read_text(encoding="utf-8").splitlines():
+        parts = line.split("\t")
+        try:
+            when = datetime.strptime(parts[7], "%a %b %d %H:%M:%S %z %Y")
+        except (IndexError, ValueError):
+            continue
+        lines.append(f"{parts[0]}\t{when.strftime('%Y-%m-%dT%H:%M:%SZ')}\t{parts[4]}\t{parts[5]}\t{parts[1]}")
+    path = tmp_path / "gowalla.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_sweep_category_variant_on_gowalla_data_fails_cleanly(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    gowalla = ["--set", f"dataset_path={gowalla_copy(tmp_path)}", "--set", "dataset_format=gowalla"]
+    assert main(["prepare", "--config", str(cfg), *gowalla]) == 0
+    capsys.readouterr()
+    rc = main(["sweep", "--config", str(cfg), "--lambda-grid", "lambda_s=0,10", *gowalla])
+    assert rc == 1
+    line = single_error_line(capsys.readouterr().err)
+    assert line.startswith("nextloc-error: config-invalid:") and "categories" in line
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_sweep_fails_cleanly(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    rc = main(["sweep", "--config", str(cfg), "--lambda-grid", "lambda_s=10", "--set", "epochs=1",
+               "--set", "learning_rate=1e300"])
+    assert rc == 1
+    assert single_error_line(capsys.readouterr().err).startswith("nextloc-error: diverged: non-finite loss")
+
+
+@pytest.mark.parametrize("blob,why", [
+    (b"NLCKPT01" + (5).to_bytes(8, "little") + b"\xff\xfe{{x", "unreadable header"),
+    (b"NLCKPT01" + (6).to_bytes(8, "little") + b"[1, 2]", "unreadable header"),
+    (b"NLCKPT01" + (14).to_bytes(8, "little") + b"{\"version\": 1}", "unreadable header"),
+], ids=["not-utf8", "not-an-object", "missing-keys"])
+def test_evaluate_rejects_bad_checkpoint_header(trained, capsys, blob, why):
+    tmp_path, cfg = trained
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob)
+    rc = main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)])
+    assert rc == 1
+    line = single_error_line(capsys.readouterr().err)
+    assert line.startswith("nextloc-error: pipeline:") and why in line
+
+
+def test_evaluate_rejects_trailing_checkpoint_bytes(trained, capsys):
+    tmp_path, cfg = trained
+    padded = tmp_path / "padded.ckpt"
+    padded.write_bytes((tmp_path / "out" / "best.ckpt").read_bytes() + b"\0")
+    rc = main(["evaluate", "--config", str(cfg), "--checkpoint", str(padded)])
+    assert rc == 1
+    assert "trailing bytes" in single_error_line(capsys.readouterr().err)

@@ -94,14 +94,14 @@ def np_affine(store, name, x):
 def test_embedding_order_and_length():
     cfg = toy_config()
     store = build_params(cfg, seed=0)
-    e = embed_step(store, cfg, [0], [0], [0], [0], ad.embedding(store["emb.user"], [0]))
-    assert e.value.shape == (1, cfg.dim_record) == (1, 13)
+    e = embed_step(store, cfg, [[0]], [[0]], [[0]], [[0]], [0])
+    assert e.value.shape == (1, 1, cfg.dim_record) == (1, 1, 13)
     want = np.concatenate([
         store["emb.loc"].value[0], store["emb.cat"].value[0],
         store["emb.hour"].value[0], store["emb.day"].value[0],
         store["emb.user"].value[0],
     ])
-    assert np.array_equal(e.value[0], want)
+    assert np.array_equal(e.value[0, 0], want)
 
 
 def test_default_dims_give_350():
@@ -112,9 +112,8 @@ def test_default_dims_give_350():
 def test_hour_change_touches_only_hour_slice():
     cfg = toy_config()
     store = build_params(cfg, seed=0)
-    u = ad.embedding(store["emb.user"], [0])
-    a = embed_step(store, cfg, [1], [1], [3], [2], u).value[0]
-    b = embed_step(store, cfg, [1], [1], [7], [2], u).value[0]
+    a = embed_step(store, cfg, [[1]], [[1]], [[3]], [[2]], [0]).value[0, 0]
+    b = embed_step(store, cfg, [[1]], [[1]], [[7]], [[2]], [0]).value[0, 0]
     lo = cfg.d_loc + cfg.d_cat
     hi = lo + cfg.d_hour
     diff = a != b
@@ -126,9 +125,8 @@ def test_category_less_dataset_uses_shared_row():
     cfg = toy_config(variant="cslsl_c", has_categories=False)
     store = build_params(cfg, seed=0)
     assert store["emb.cat"].value.shape == (1, cfg.d_cat)
-    u = ad.embedding(store["emb.user"], [0])
-    a = embed_step(store, cfg, [1], [0], [3], [2], u).value
-    b = embed_step(store, cfg, [1], [5], [3], [2], u).value  # stray index ignored
+    a = embed_step(store, cfg, [[1]], [[0]], [[3]], [[2]], [0]).value
+    b = embed_step(store, cfg, [[1]], [[5]], [[3]], [[2]], [0]).value  # stray index ignored
     assert np.array_equal(a, b)
 
 
@@ -145,11 +143,15 @@ def zero_gru_pair(cfg):
             GRUWeights(z((3 * h, d)), z((3 * h, h)), z(3 * h)))
 
 
+def no_steps(cfg):
+    return ad.constant(np.zeros((1, 0, cfg.dim_record)))
+
+
 def test_lsc_zero_everything():
     cfg = toy_config()
     wl, ws = zero_gru_pair(cfg)
-    x = [ad.constant(np.zeros((1, cfg.dim_record)))]
-    out = lsc_forward(wl, ws, [], x, ad.constant(np.zeros((1, cfg.hidden))))
+    x = ad.constant(np.zeros((1, 1, cfg.dim_record)))
+    out, _, _ = lsc_forward(wl, ws, no_steps(cfg), x, ad.constant(np.zeros((1, cfg.hidden))))
     assert np.array_equal(out.value, np.zeros((1, cfg.hidden)))
 
 
@@ -157,7 +159,7 @@ def test_lsc_zero_weights_halves_h0():
     cfg = toy_config()
     wl, ws = zero_gru_pair(cfg)
     v = np.arange(1.0, cfg.hidden + 1)[None]
-    out = lsc_forward(wl, ws, [], [ad.constant(np.zeros((1, cfg.dim_record)))], ad.constant(v))
+    out, _, _ = lsc_forward(wl, ws, no_steps(cfg), ad.constant(np.zeros((1, 1, cfg.dim_record))), ad.constant(v))
     assert np.allclose(out.value, 0.5 * v, atol=1e-15)
 
 
@@ -165,7 +167,7 @@ def test_lsc_empty_prefix_fatal():
     cfg = toy_config()
     wl, ws = zero_gru_pair(cfg)
     with pytest.raises(ValueError):
-        lsc_forward(wl, ws, [], [], ad.constant(np.zeros((1, cfg.hidden))))
+        lsc_forward(wl, ws, no_steps(cfg), no_steps(cfg), ad.constant(np.zeros((1, cfg.hidden))))
 
 
 def test_lsc_matches_manual_four_step_unroll():
@@ -174,11 +176,11 @@ def test_lsc_matches_manual_four_step_unroll():
     rng = np.random.default_rng(0)
     steps = [rng.normal(size=(1, cfg.dim_record)) for _ in range(4)]
     h0 = rng.normal(size=(1, cfg.hidden))
-    got = lsc_forward(
+    got, _, _ = lsc_forward(
         gru_weights(store, "gru.time.long"),
         gru_weights(store, "gru.time.short"),
-        [ad.constant(s) for s in steps[:2]],
-        [ad.constant(s) for s in steps[2:]],
+        ad.constant(np.stack(steps[:2], axis=1)),
+        ad.constant(np.stack(steps[2:], axis=1)),
         ad.constant(h0),
     )
     h = h0
