@@ -4,8 +4,8 @@ Subcommands (all driven by one config file; see config.py for the schema):
 
 * ``prepare --config F``                 parse + preprocess; writes canonical.txt,
   processed.txt, vocab.txt, stats.txt into output_dir
-* ``train --config F [--seed N] [--resume CKPT]``   writes best.ckpt, last.ckpt,
-  epochs.csv
+* ``train --config F [--seed N] [--resume CKPT]``   writes best.ckpt (the
+  best epoch's parameters) and epochs.csv
 * ``evaluate --config F --checkpoint C`` writes metrics.json
 * ``analyze --config F --checkpoint C``  writes joint_matrix.csv,
   distance_hist.csv, displacement.csv, attractiveness.csv
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -229,6 +230,8 @@ def _parse_grid(spec: str) -> list[dict[str, float]]:
             axes.append((name, [float(v) for v in values.split(",")]))
         except ValueError:
             raise CliError("bad-grid", f"cannot parse values for {name!r}") from None
+        if not all(0 <= v < math.inf for v in axes[-1][1]):
+            raise CliError("bad-grid", f"values for {name!r} must be finite and >= 0")
     if not axes:
         raise CliError("bad-grid", "empty lambda grid")
     points = [{}]

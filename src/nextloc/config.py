@@ -33,6 +33,7 @@ their artifacts.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -135,12 +136,11 @@ def validation_problems(cfg: RunConfig) -> list[str]:
     if not (0.0 < cfg.train_ratio <= 1.0):
         problems.append("train_ratio: must be in (0, 1]")
     for name in ("lambda_t", "lambda_c", "lambda_s"):
-        if getattr(cfg, name) < 0:
-            problems.append(f"{name}: must be >= 0")
-    if cfg.learning_rate <= 0:
-        problems.append("learning_rate: must be > 0")
-    if cfg.clip_norm <= 0:
-        problems.append("clip_norm: must be > 0")
+        if not (0 <= getattr(cfg, name) < math.inf):
+            problems.append(f"{name}: must be finite and >= 0")
+    for name in ("learning_rate", "clip_norm"):
+        if not (0 < getattr(cfg, name) < math.inf):
+            problems.append(f"{name}: must be finite and > 0")
     if cfg.patience < 0:
         problems.append("patience: must be >= 0")
     if cfg.reference_counts:

@@ -4,22 +4,12 @@ Every record is embedded as location + category + hour-of-day + day-of-week +
 user vectors concatenated in that fixed order. Each task branch encodes the
 record sequence with a long/short-term capturer (LSC): one GRU over all
 earlier sessions, whose final hidden state seeds a second GRU over the
-current-session prefix.
+current-session prefix. An affine head predicts each task from the final
+state of the branch that feeds it.
 
-Variants:
-
-* ``cslsl`` / ``clsl``: the causal chain time -> category -> location. Each
-  branch's LSC is seeded with the upstream branch's final hidden state, and
-  each predictor consumes the upstream prediction through an affine converter.
-  ``clsl`` shares the architecture and simply trains without the
-  distance-weighted loss term.
-* ``clsl_ctl``: the chain reordered category -> time -> location.
-* ``cslsl_t`` / ``cslsl_c``: the chain with the time / category branch removed.
-* ``lsl``: a single location branch.
-* ``sblsl``: one shared LSC with separate task predictors on its output.
-* ``slsl``: fully independent branches, no cross connections.
-* ``hlsl``: hierarchical; downstream GRUs consume the record embedding
-  concatenated with the upstream branch's hidden state at every step.
+All nine variants are this one design with different wiring between the
+branches. `WIRING` gives every variant's branches and connections in one
+table, and `forward` runs them all through the same loop.
 """
 
 from __future__ import annotations
@@ -32,18 +22,42 @@ from . import autodiff as ad
 from .autodiff import GRUWeights, Tensor
 from .params import ParamStore
 
-VARIANTS = ("lsl", "sblsl", "slsl", "hlsl", "clsl", "clsl_ctl", "cslsl", "cslsl_t", "cslsl_c")
 
-# Variants wired as a causal chain (hidden-state hand-off + prediction converters).
-CAUSAL_VARIANTS = {"cslsl", "clsl", "clsl_ctl", "cslsl_t", "cslsl_c"}
+@dataclass(frozen=True)
+class Wiring:
+    """How a variant connects its LSC branches.
 
-_CAUSAL_ORDER = {
-    "cslsl": ("time", "cat", "loc"),
-    "clsl": ("time", "cat", "loc"),
-    "clsl_ctl": ("cat", "time", "loc"),
-    "cslsl_t": ("cat", "loc"),
-    "cslsl_c": ("time", "loc"),
+    branches:     LSC branches in run order; "shared" feeds every head.
+    chained:      each branch's LSC starts from the previous branch's final
+                  state, and its head also reads the previous head's output
+                  through an affine converter.
+    hierarchical: each downstream GRU reads the record embedding concatenated
+                  with the previous branch's state at every step.
+    spatial:      training keeps the distance-weighted location loss term.
+    """
+
+    branches: tuple[str, ...]
+    chained: bool = False
+    hierarchical: bool = False
+    spatial: bool = True
+
+
+CHAIN = ("time", "cat", "loc")
+SHARED = "shared"
+
+WIRING = {
+    "lsl": Wiring(("loc",)),
+    "sblsl": Wiring((SHARED,)),
+    "slsl": Wiring(CHAIN),
+    "hlsl": Wiring(CHAIN, hierarchical=True),
+    "clsl": Wiring(CHAIN, chained=True, spatial=False),
+    "clsl_ctl": Wiring(("cat", "time", "loc"), chained=True, spatial=False),
+    "cslsl": Wiring(CHAIN, chained=True),
+    "cslsl_t": Wiring(("cat", "loc"), chained=True),
+    "cslsl_c": Wiring(("time", "loc"), chained=True),
 }
+
+VARIANTS = tuple(WIRING)
 
 N_HOURS = 24
 N_DAYS = 7
@@ -75,7 +89,7 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.n_users <= 0 or self.n_locs <= 0:
             raise ConfigError("model needs at least one user and one location")
-        if self.cat_head_active and (not self.has_categories or self.n_cats <= 0):
+        if "cat" in self.heads and (not self.has_categories or self.n_cats <= 0):
             raise ConfigError(
                 f"variant {self.variant!r} predicts categories but the dataset has none"
             )
@@ -85,35 +99,22 @@ class ModelConfig:
         return self.d_loc + self.d_cat + self.d_hour + self.d_day + self.d_user
 
     @property
-    def d_time_emb(self) -> int:
-        return self.d_hour + self.d_day
+    def wiring(self) -> Wiring:
+        return WIRING[self.variant]
 
     @property
     def branches(self) -> tuple[str, ...]:
-        if self.variant in CAUSAL_VARIANTS:
-            return _CAUSAL_ORDER[self.variant]
-        if self.variant == "lsl":
-            return ("loc",)
-        if self.variant == "sblsl":
-            return ("shared",)
-        # slsl / hlsl: the category branch only exists when the data has categories
-        return ("time", "cat", "loc") if self.has_categories else ("time", "loc")
+        """The LSC branches in run order. On data without categories an
+        unchained variant drops its category branch; a chain cannot."""
+        w = self.wiring
+        return tuple(b for b in w.branches if b != "cat" or w.chained or self.has_categories)
 
     @property
-    def time_head_active(self) -> bool:
-        if self.variant == "lsl":
-            return False
-        if self.variant == "sblsl":
-            return True
-        return "time" in self.branches
-
-    @property
-    def cat_head_active(self) -> bool:
-        if self.variant in CAUSAL_VARIANTS:
-            return "cat" in _CAUSAL_ORDER[self.variant]
-        if self.variant in ("sblsl", "slsl", "hlsl"):
-            return self.has_categories
-        return False
+    def heads(self) -> tuple[str, ...]:
+        """The predicted tasks, in run order."""
+        if self.branches != (SHARED,):
+            return self.branches
+        return CHAIN if self.has_categories else ("time", "loc")
 
 
 @dataclass
@@ -157,21 +158,6 @@ class Batch:
 # Parameter construction
 # ---------------------------------------------------------------------------
 
-def _head_in_dim(cfg: ModelConfig, branch: str, upstream: str | None) -> int:
-    extra = 0
-    if upstream == "time":
-        extra = cfg.d_time_emb
-    elif upstream == "cat":
-        extra = cfg.d_cat
-    return cfg.hidden + extra
-
-
-def _gru_in_dim(cfg: ModelConfig, branch_pos: int) -> int:
-    if cfg.variant == "hlsl" and branch_pos > 0:
-        return cfg.dim_record + cfg.hidden
-    return cfg.dim_record
-
-
 def build_params(cfg: ModelConfig, seed: int, init: str = "fanin") -> ParamStore:
     """Create every table and weight for the configured variant, in a fixed
     order so identical (cfg, seed) always yields identical values."""
@@ -185,40 +171,26 @@ def build_params(cfg: ModelConfig, seed: int, init: str = "fanin") -> ParamStore
 
     h = cfg.hidden
     for pos, branch in enumerate(cfg.branches):
-        d_in = _gru_in_dim(cfg, pos)
+        d_in = cfg.dim_record + (h if cfg.wiring.hierarchical and pos > 0 else 0)
         for part in ("long", "short"):
             store.add(f"gru.{branch}.{part}.w_x", (3 * h, d_in), init)
             store.add(f"gru.{branch}.{part}.w_h", (3 * h, h), init)
             store.add(f"gru.{branch}.{part}.b", (3 * h,), init)
 
-    causal = cfg.variant in CAUSAL_VARIANTS
-    order = cfg.branches if causal else _active_heads(cfg)
+    n_out = {"time": 1, "cat": cfg.n_cats, "loc": cfg.n_locs}
+    conv_width = {"time": cfg.d_hour + cfg.d_day, "cat": cfg.d_cat}
     upstream = None
-    for branch in order:
-        if causal and upstream is not None:
-            if upstream == "time" and "conv.time.w" not in store:
-                store.add("conv.time.w", (cfg.d_time_emb, 1), init)
-                store.add("conv.time.b", (cfg.d_time_emb,), init)
-            if upstream == "cat" and "conv.cat.w" not in store:
-                store.add("conv.cat.w", (cfg.d_cat, cfg.n_cats), init)
-                store.add("conv.cat.b", (cfg.d_cat,), init)
-        out = {"time": 1, "cat": cfg.n_cats, "loc": cfg.n_locs}[branch]
-        d_in = _head_in_dim(cfg, branch, upstream if causal else None)
-        store.add(f"pred.{branch}.w", (out, d_in), init)
-        store.add(f"pred.{branch}.b", (out,), init)
-        if causal:
-            upstream = branch
+    for head in cfg.heads:
+        d_in = h
+        if upstream is not None:
+            store.add(f"conv.{upstream}.w", (conv_width[upstream], n_out[upstream]), init)
+            store.add(f"conv.{upstream}.b", (conv_width[upstream],), init)
+            d_in += conv_width[upstream]
+        store.add(f"pred.{head}.w", (n_out[head], d_in), init)
+        store.add(f"pred.{head}.b", (n_out[head],), init)
+        if cfg.wiring.chained:
+            upstream = head
     return store
-
-
-def _active_heads(cfg: ModelConfig) -> tuple[str, ...]:
-    heads = []
-    if cfg.time_head_active:
-        heads.append("time")
-    if cfg.cat_head_active:
-        heads.append("cat")
-    heads.append("loc")
-    return tuple(heads)
 
 
 def gru_weights(store: ParamStore, prefix: str) -> GRUWeights:
@@ -273,63 +245,34 @@ def lsc_forward(
 
 
 def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
-    """Run the configured variant on a padded batch."""
+    """Run the configured variant on a padded batch: each branch's LSC, then
+    the heads it feeds, connected as the variant's `Wiring` says."""
+    wiring = cfg.wiring
     hist = embed_step(store, cfg, batch.hist_loc, batch.hist_cat, batch.hist_hour, batch.hist_day, batch.user)
     pref = embed_step(store, cfg, batch.pref_loc, batch.pref_cat, batch.pref_hour, batch.pref_day, batch.user)
-    zero_h = ad.constant(np.zeros((batch.size, cfg.hidden)))
-
-    def run_branch(branch: str, h0: Tensor, hist_in: Tensor = hist, pref_in: Tensor = pref):
-        return lsc_forward(
+    h = zero_h = ad.constant(np.zeros((batch.size, cfg.hidden)))
+    hist_in, pref_in = hist, pref
+    preds: dict[str, Tensor] = {}
+    upstream = None
+    for branch in cfg.branches:
+        h, long_states, short_states = lsc_forward(
             gru_weights(store, f"gru.{branch}.long"),
             gru_weights(store, f"gru.{branch}.short"),
             hist_in,
             pref_in,
-            h0,
+            h if wiring.chained else zero_h,
             long_masks=batch.hist_mask,
             short_masks=batch.pref_mask,
         )
-
-    def head(branch: str, h: Tensor) -> Tensor:
-        return ad.affine(h, store[f"pred.{branch}.w"], store[f"pred.{branch}.b"])
-
-    if cfg.variant in CAUSAL_VARIANTS:
-        preds: dict[str, Tensor] = {}
-        h_prev = zero_h
-        upstream = None
-        for branch in cfg.branches:
-            h = run_branch(branch, h_prev)[0]
-            if upstream is None:
-                x = h
-            else:
+        for head in cfg.heads if branch == SHARED else (branch,):
+            x = h
+            if upstream is not None:
                 conv = ad.affine(preds[upstream], store[f"conv.{upstream}.w"], store[f"conv.{upstream}.b"])
                 x = ad.concat_cols([h, conv])
-            preds[branch] = head(branch, x)
-            h_prev = h
-            upstream = branch
-        return BranchState(preds.get("time"), preds.get("cat"), preds["loc"])
-
-    if cfg.variant == "lsl":
-        return BranchState(None, None, head("loc", run_branch("loc", zero_h)[0]))
-
-    if cfg.variant == "sblsl":
-        h = run_branch("shared", zero_h)[0]
-        return BranchState(
-            head("time", h),
-            head("cat", h) if cfg.cat_head_active else None,
-            head("loc", h),
-        )
-
-    if cfg.variant == "slsl":
-        out = {b: head(b, run_branch(b, zero_h)[0]) for b in cfg.branches}
-        return BranchState(out["time"], out.get("cat"), out["loc"])
-
-    # hlsl: each downstream GRU sees e_r concatenated with the upstream
-    # branch's hidden state at the same step; every LSC starts from zero.
-    hist_in, pref_in = hist, pref
-    preds = {}
-    for branch in cfg.branches:
-        h, long_states, short_states = run_branch(branch, zero_h, hist_in, pref_in)
-        preds[branch] = head(branch, h)
-        hist_in = ad.concat_cols([hist, long_states])
-        pref_in = ad.concat_cols([pref, short_states])
-    return BranchState(preds["time"], preds.get("cat"), preds["loc"])
+            preds[head] = ad.affine(x, store[f"pred.{head}.w"], store[f"pred.{head}.b"])
+            if wiring.chained:
+                upstream = head
+        if wiring.hierarchical:
+            hist_in = ad.concat_cols([hist, long_states])
+            pref_in = ad.concat_cols([pref, short_states])
+    return BranchState(preds.get("time"), preds.get("cat"), preds["loc"])

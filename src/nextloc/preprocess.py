@@ -383,36 +383,60 @@ def load_vocab(path) -> Vocab:
 
 
 def load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
+    """Read a `save_processed` file, checking the header's user count, each
+    block's declared session or record count, that every `S`/`R` line sits
+    inside a user/session block, and that every key is in `vocab`."""
     users: list[SessionizedUser] = []
+    blocks: list[tuple[int, str, int, list]] = []  # (line, what, declared count, items)
     current_user: SessionizedUser | None = None
     current_session: Session | None = None
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if not first.startswith(PROCESSED_MAGIC):
             raise PreprocessError(f"{path}: not a processed dataset file")
-        for line in fh:
+        header = dict(f.split("=", 1) for f in first[len(PROCESSED_MAGIC):].split("\t") if "=" in f)
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             tag, *rest = line.split("\t")
-            if tag == "U":
-                current_user = SessionizedUser(
-                    user_index=vocab.user_index[rest[0]], sessions=[], split_point=int(rest[1])
-                )
-                users.append(current_user)
-            elif tag == "S":
-                current_session = Session(week_id=int(rest[0]), records=[])
-                current_user.sessions.append(current_session)
-            elif tag == "R":
-                _user, loc_k, _raw_cat, _lat, _lon, utc_s, tz_s = rest
-                li = vocab.loc_index[loc_k]
-                utc, tz = int(utc_s), int(tz_s)
-                hour, dow, tow = local_fields(utc, tz)
-                current_session.records.append(
-                    SessRecord(li, vocab.loc_cat[li], hour, dow, tow, utc, tz)
-                )
-            else:
-                raise PreprocessError(f"{path}: unknown tag {tag!r}")
+            try:
+                if tag == "U":
+                    current_user = SessionizedUser(
+                        user_index=vocab.user_index[rest[0]], sessions=[], split_point=int(rest[1])
+                    )
+                    current_session = None
+                    users.append(current_user)
+                    blocks.append((lineno, "sessions", int(rest[2]), current_user.sessions))
+                elif tag == "S":
+                    if current_user is None:
+                        raise PreprocessError(f"{path}:{lineno}: S line before any U line")
+                    current_session = Session(week_id=int(rest[0]), records=[])
+                    current_user.sessions.append(current_session)
+                    blocks.append((lineno, "records", int(rest[1]), current_session.records))
+                elif tag == "R":
+                    if current_session is None:
+                        raise PreprocessError(f"{path}:{lineno}: R line outside a session block")
+                    user_k, loc_k, _raw_cat, _lat, _lon, utc_s, tz_s = rest
+                    if vocab.user_index[user_k] != current_user.user_index:
+                        raise PreprocessError(f"{path}:{lineno}: R line of user {user_k!r} in another user's block")
+                    li = vocab.loc_index[loc_k]
+                    utc, tz = int(utc_s), int(tz_s)
+                    hour, dow, tow = local_fields(utc, tz)
+                    current_session.records.append(
+                        SessRecord(li, vocab.loc_cat[li], hour, dow, tow, utc, tz)
+                    )
+                else:
+                    raise PreprocessError(f"{path}:{lineno}: unknown tag {tag!r}")
+            except KeyError as e:
+                raise PreprocessError(f"{path}:{lineno}: key {e.args[0]!r} not in the vocabulary") from None
+            except (IndexError, ValueError):
+                raise PreprocessError(f"{path}:{lineno}: malformed {tag} line") from None
+    for lineno, what, declared, items in blocks:
+        if len(items) != declared:
+            raise PreprocessError(f"{path}:{lineno}: declares {declared} {what}, found {len(items)}")
     if not users:
         raise PreprocessError(f"{path}: empty processed dataset")
+    if header.get("users") != str(len(users)):
+        raise PreprocessError(f"{path}: header declares users={header.get('users')}, found {len(users)}")
     return users

@@ -95,10 +95,10 @@ class TrainHyper:
 
 
 def effective_weights(cfg: ModelConfig, weights: LossWeights) -> LossWeights:
-    """clsl variants are the same network trained without the spatial term."""
-    if cfg.variant in ("clsl", "clsl_ctl"):
-        return LossWeights(weights.lambda_t, weights.lambda_c, 0.0)
-    return weights
+    """A variant wired without the spatial term trains with lambda_s = 0."""
+    if cfg.wiring.spatial:
+        return weights
+    return LossWeights(weights.lambda_t, weights.lambda_c, 0.0)
 
 
 def train_epoch(
@@ -120,8 +120,9 @@ def train_epoch(
     for start in range(0, len(order), hyper.batch_size):
         chunk = order[start : start + hyper.batch_size]
         batch = batchify([instances[i] for i in chunk])
-        state = forward(store, cfg, batch)
-        node, bd = total_loss(state, batch.target_t, batch.target_cat, batch.target_loc, w, vocab.loc_coord)
+        with np.errstate(all="ignore"):  # overflow surfaces as the non-finite loss checked below
+            state = forward(store, cfg, batch)
+            node, bd = total_loss(state, batch.target_t, batch.target_cat, batch.target_loc, w, vocab.loc_coord)
         if not np.isfinite(bd.total):
             norms = {n: float(np.abs(store[n].value).max()) for n in store.names()}
             worst = sorted(norms, key=norms.get, reverse=True)[:5]

@@ -304,7 +304,37 @@ def test_sweep_category_variant_on_gowalla_data_fails_cleanly(tmp_path, capsys):
     assert line.startswith("nextloc-error: config-invalid:") and "categories" in line
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["lambda_t", "lambda_c", "lambda_s", "learning_rate", "clip_norm"])
+def test_non_finite_config_value_rejected(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path)
+    rc = main(["train", "--config", str(cfg), "--set", f"{key}={value}"])
+    assert rc == 2
+    assert single_error_line(capsys.readouterr().err).startswith(f"nextloc-error: config-invalid: {key}:")
+
+
+def test_non_finite_sweep_grid_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    rc = main(["sweep", "--config", str(cfg), "--lambda-grid", "lambda_s=0,nan"])
+    assert rc == 1
+    assert single_error_line(capsys.readouterr().err).startswith("nextloc-error: bad-grid:")
+
+
+def test_train_rejects_truncated_processed_file(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    processed = tmp_path / "out" / "processed.txt"
+    processed.write_text("".join(processed.read_text().splitlines(keepends=True)[:-40]))
+    rc = main(["train", "--config", str(cfg)])
+    assert rc == 1
+    line = single_error_line(capsys.readouterr().err)
+    assert line.startswith("nextloc-error: pipeline:") and "declares" in line
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_sweep_fails_cleanly(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["prepare", "--config", str(cfg)]) == 0

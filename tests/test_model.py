@@ -398,3 +398,58 @@ def test_forward_deterministic():
     b = forward(store, cfg, BATCH)
     assert np.array_equal(a.loc_logits.value, b.loc_logits.value)
     assert np.array_equal(a.t_hat.value, b.t_hat.value)
+
+
+# ---------------------------------------------------------------------------
+# parameter order and active heads of every variant
+# ---------------------------------------------------------------------------
+
+EMB = ["emb.loc", "emb.cat", "emb.hour", "emb.day", "emb.user"]
+
+
+def grus(*branches):
+    return [f"gru.{b}.{part}.{p}" for b in branches for part in ("long", "short") for p in ("w_x", "w_h", "b")]
+
+
+def layers(*names):
+    return [f"{n}.{p}" for n in names for p in ("w", "b")]
+
+
+# (variant, has_categories) -> (parameter names in creation order, active heads)
+PARAM_ORDER = {
+    ("lsl", True): (grus("loc") + layers("pred.loc"), {"loc"}),
+    ("lsl", False): (grus("loc") + layers("pred.loc"), {"loc"}),
+    ("sblsl", True): (grus("shared") + layers("pred.time", "pred.cat", "pred.loc"), {"time", "cat", "loc"}),
+    ("sblsl", False): (grus("shared") + layers("pred.time", "pred.loc"), {"time", "loc"}),
+    ("slsl", True): (grus("time", "cat", "loc") + layers("pred.time", "pred.cat", "pred.loc"),
+                     {"time", "cat", "loc"}),
+    ("slsl", False): (grus("time", "loc") + layers("pred.time", "pred.loc"), {"time", "loc"}),
+    ("hlsl", True): (grus("time", "cat", "loc") + layers("pred.time", "pred.cat", "pred.loc"),
+                     {"time", "cat", "loc"}),
+    ("hlsl", False): (grus("time", "loc") + layers("pred.time", "pred.loc"), {"time", "loc"}),
+    ("clsl", True): (grus("time", "cat", "loc")
+                     + layers("pred.time", "conv.time", "pred.cat", "conv.cat", "pred.loc"),
+                     {"time", "cat", "loc"}),
+    ("clsl_ctl", True): (grus("cat", "time", "loc")
+                         + layers("pred.cat", "conv.cat", "pred.time", "conv.time", "pred.loc"),
+                         {"time", "cat", "loc"}),
+    ("cslsl", True): (grus("time", "cat", "loc")
+                      + layers("pred.time", "conv.time", "pred.cat", "conv.cat", "pred.loc"),
+                      {"time", "cat", "loc"}),
+    ("cslsl_t", True): (grus("cat", "loc") + layers("pred.cat", "conv.cat", "pred.loc"), {"cat", "loc"}),
+    ("cslsl_c", True): (grus("time", "loc") + layers("pred.time", "conv.time", "pred.loc"), {"time", "loc"}),
+    ("cslsl_c", False): (grus("time", "loc") + layers("pred.time", "conv.time", "pred.loc"), {"time", "loc"}),
+}
+
+
+@pytest.mark.parametrize("variant,has_categories", sorted(PARAM_ORDER))
+def test_parameter_order_and_active_heads(variant, has_categories):
+    names, heads = PARAM_ORDER[(variant, has_categories)]
+    cfg = toy_config(variant=variant, has_categories=has_categories)
+    store = build_params(cfg, seed=0)
+    assert list(store.names()) == EMB + names
+    state = forward(store, cfg, make_batch([(0, 0, 1, 2)], [(1, 0, 7, 3)]))
+    active = {h for h, out in (("time", state.t_hat), ("cat", state.cat_logits), ("loc", state.loc_logits))
+              if out is not None}
+    assert active == heads
+

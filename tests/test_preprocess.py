@@ -236,7 +236,9 @@ def test_pipeline_record_conservation():
     assert total == result.final.records
 
 
-def test_save_load_round_trip(tmp_path):
+def saved_dataset(tmp_path):
+    """Three users of six three-record sessions, saved; returns the run's
+    result and the vocabulary and processed-file paths."""
     records = []
     for u in range(3):
         for w in range(6):
@@ -245,7 +247,44 @@ def test_save_load_round_trip(tmp_path):
     result = run_pipeline(record_set(records), min_count=5)
     save_vocab(tmp_path / "vocab.txt", result.vocab)
     save_processed(tmp_path / "proc.txt", result.vocab, result.users)
-    vocab2 = load_vocab(tmp_path / "vocab.txt")
-    users2 = load_processed(tmp_path / "proc.txt", vocab2)
+    return result, tmp_path / "vocab.txt", tmp_path / "proc.txt"
+
+
+def test_save_load_round_trip(tmp_path):
+    result, vocab_path, proc_path = saved_dataset(tmp_path)
+    vocab2 = load_vocab(vocab_path)
+    users2 = load_processed(proc_path, vocab2)
     assert vocab2 == result.vocab
     assert users2 == result.users
+
+
+@pytest.mark.parametrize("cut,why", [
+    (1, "declares 3 records, found 2"),
+    (4, "declares 6 sessions, found 5"),
+    (25, "header declares users=3, found 2"),  # exactly the last user's block
+    (40, "declares 6 sessions, found 3"),
+])
+def test_load_rejects_truncated_file(tmp_path, cut, why):
+    result, vocab_path, proc_path = saved_dataset(tmp_path)
+    lines = proc_path.read_text().splitlines(keepends=True)
+    proc_path.write_text("".join(lines[:-cut]))
+    with pytest.raises(PreprocessError, match=why):
+        load_processed(proc_path, result.vocab)
+
+
+def test_load_rejects_misplaced_lines(tmp_path):
+    result, vocab_path, proc_path = saved_dataset(tmp_path)
+    lines = proc_path.read_text().splitlines(keepends=True)
+    u_at = [i for i, line in enumerate(lines) if line.startswith("U\t")]
+    r_line = next(line for line in lines if line.startswith("R\t"))
+    cases = [
+        (lines[:1] + [lines[2]] + lines[1:], "S line before any U line"),
+        (lines[:2] + [r_line] + lines[2:], "R line outside a session block"),
+        (lines[:u_at[1] + 2] + [r_line] + lines[u_at[1] + 2:], "R line of user 'u0' in another user's block"),
+        ([line.replace("\tl1\t", "\tl9\t") for line in lines], "key 'l9' not in the vocabulary"),
+        (lines + ["R\tu2\n"], "malformed R line"),
+    ]
+    for text, why in cases:
+        proc_path.write_text("".join(text))
+        with pytest.raises(PreprocessError, match=why):
+            load_processed(proc_path, result.vocab)
