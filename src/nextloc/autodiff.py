@@ -6,13 +6,19 @@ A `Tensor` holds a float64 value, the tensors it was computed from
 accumulates into leaf `.grad` buffers, so repeated calls without
 `zero_grad` add up.
 
+Inside a `no_grad()` block no graph is recorded: an operation's output has
+no parents and no backward closure, so inference keeps none of the buffers
+a backward pass would read, and `backward` on such an output raises
+`GradError`.
+
 The operations are the few the recurrent predictor needs. `gru_sequence`
-runs a whole GRU chain as one node: the input projection is one matrix
-product over every step, hoisted out of the recurrence, and its backward
-pass is hand-written backpropagation through time. `embedding`,
-`concat_cols` and `affine` build the chains' inputs and the heads;
-`softmax_xent`, `circular_abs`, `cmul`, `smul`, `add` and `mean` build the
-loss.
+runs a whole GRU chain as one node and touches only the real (row, step)
+pairs of its mask: the input projection is one matrix product over the real
+steps, hoisted out of the recurrence, each step updates only the rows still
+active, and its backward pass is hand-written backpropagation through time
+over the same rows. `embedding`, `concat_cols` and `affine` build the
+chains' inputs and the heads; `softmax_xent`, `circular_abs`, `cmul`,
+`smul`, `add` and `mean` build the loss.
 
 Conventions: sequences are batch-major (B, T, dim); weight matrices are
 (out, in) and applied as ``x @ W.T``; no general broadcasting.
@@ -20,9 +26,24 @@ Conventions: sequences are batch-major (B, T, dim); weight matrices are
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block; the previous mode comes back on
+    exit, also when the block raises."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class GradError(Exception):
@@ -34,6 +55,8 @@ class Tensor:
 
     def __init__(self, value, parents=(), backward=None, requires_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
+        if not _grad_enabled:
+            parents, backward = (), None
         self.parents = parents
         self._backward = backward
         self.requires_grad = requires_grad
@@ -77,6 +100,8 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad."""
     if loss.value.size != 1:
         raise GradError(f"backward requires a scalar, got shape {loss.shape}")
+    if loss._backward is None and not loss.requires_grad:
+        raise GradError("backward needs a recorded graph; this value was computed under no_grad or from constants")
     order = _topo_order(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
 
@@ -106,7 +131,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if (x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[1]
             or b.value.shape != w.value.shape[:1]):
         raise GradError(f"affine shape mismatch: {x.shape} x {w.shape} + {b.shape}")
-    out = Tensor(x.value @ w.value.T + b.value, parents=(x, w, b))
 
     def bw(g, getbuf):
         bx, bw_, bb = getbuf(x), getbuf(w), getbuf(b)
@@ -114,53 +138,45 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         bw_ += g.T @ x.value
         bb += g.sum(axis=0)
 
-    out._backward = bw
-    return out
+    return Tensor(x.value @ w.value.T + b.value, parents=(x, w, b), backward=bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise GradError(f"shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.value + b.value, parents=(a, b))
 
     def bw(g, getbuf):
         ba, bb = getbuf(a), getbuf(b)
         ba += g
         bb += g
 
-    out._backward = bw
-    return out
+    return Tensor(a.value + b.value, parents=(a, b), backward=bw)
 
 
 def cmul(x: Tensor, c) -> Tensor:
     """Multiply by a constant array broadcastable over x (e.g. per-row weights)."""
     c = np.asarray(c, dtype=np.float64)
-    out = Tensor(x.value * c, parents=(x,))
-    if out.value.shape != x.value.shape:
+    value = x.value * c
+    if value.shape != x.value.shape:
         raise GradError(f"cmul constant {c.shape} expands {x.shape}")
 
     def bw(g, getbuf):
         bx = getbuf(x)
         bx += g * c
 
-    out._backward = bw
-    return out
+    return Tensor(value, parents=(x,), backward=bw)
 
 
 def smul(x: Tensor, k: float) -> Tensor:
-    out = Tensor(x.value * k, parents=(x,))
-
     def bw(g, getbuf):
         bx = getbuf(x)
         bx += g * k
 
-    out._backward = bw
-    return out
+    return Tensor(x.value * k, parents=(x,), backward=bw)
 
 
 def concat_cols(xs: list[Tensor]) -> Tensor:
     """Concatenate along the last axis; the leading shapes must agree."""
-    out = Tensor(np.concatenate([x.value for x in xs], axis=-1), parents=tuple(xs))
     offsets = np.cumsum([0] + [x.value.shape[-1] for x in xs])
 
     def bw(g, getbuf):
@@ -168,8 +184,7 @@ def concat_cols(xs: list[Tensor]) -> Tensor:
             bx = getbuf(x)
             bx += g[..., lo:hi]
 
-    out._backward = bw
-    return out
+    return Tensor(np.concatenate([x.value for x in xs], axis=-1), parents=tuple(xs), backward=bw)
 
 
 def embedding(table: Tensor, idx) -> Tensor:
@@ -178,13 +193,11 @@ def embedding(table: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= table.value.shape[0]):
         raise GradError(f"embedding index out of range for table {table.shape}")
-    out = Tensor(table.value[idx], parents=(table,))
 
     def bw(g, getbuf):
         np.add.at(getbuf(table), idx, g)
 
-    out._backward = bw
-    return out
+    return Tensor(table.value[idx], parents=(table,), backward=bw)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -209,7 +222,6 @@ def softmax_xent(logits: Tensor, targets, weights=None) -> Tensor:
         raise GradError("softmax_xent weights must be non-negative")
     m = logits.value.max(axis=1)
     lse = m + np.log(np.exp(logits.value - m[:, None]).sum(axis=1))
-    out = Tensor(w * (lse - logits.value[np.arange(n), targets]), parents=(logits,))
 
     def bw(g, getbuf):
         p = softmax(logits.value)
@@ -217,8 +229,7 @@ def softmax_xent(logits: Tensor, targets, weights=None) -> Tensor:
         bl = getbuf(logits)
         bl += (g * w)[:, None] * p
 
-    out._backward = bw
-    return out
+    return Tensor(w * (lse - logits.value[np.arange(n), targets]), parents=(logits,), backward=bw)
 
 
 def circular_abs(pred: Tensor, targets) -> Tensor:
@@ -230,37 +241,30 @@ def circular_abs(pred: Tensor, targets) -> Tensor:
     t = np.asarray(targets, dtype=np.float64)
     delta = pred.value.reshape(-1) - t
     wrapped = delta - np.round(delta)
-    out = Tensor(np.abs(wrapped), parents=(pred,))
 
     def bw(g, getbuf):
         bp = getbuf(pred)
         bp += (g * np.sign(wrapped)).reshape(pred.value.shape)
 
-    out._backward = bw
-    return out
+    return Tensor(np.abs(wrapped), parents=(pred,), backward=bw)
 
 
 def mean(x: Tensor) -> Tensor:
-    out = Tensor(x.value.mean(), parents=(x,))
     inv = 1.0 / x.value.size
 
     def bw(g, getbuf):
         bx = getbuf(x)
         bx += g * inv
 
-    out._backward = bw
-    return out
+    return Tensor(x.value.mean(), parents=(x,), backward=bw)
 
 
 def total(x: Tensor) -> Tensor:
-    out = Tensor(x.value.sum(), parents=(x,))
-
     def bw(g, getbuf):
         bx = getbuf(x)
         bx += g
 
-    out._backward = bw
-    return out
+    return Tensor(x.value.sum(), parents=(x,), backward=bw)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +295,19 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, mask=None) -> tuple[Tenso
 
     Each step computes z = sig(Wz x + Uz h + bz), r = sig(Wr x + Ur h + br),
     n = tanh(Wn x + r * (Un h) + bn) and h' = (1 - z) * n + z * h. `mask`
-    (B, T) of 0/1 passes h through unchanged where it is 0, so padded steps
-    contribute nothing to the state or the gradients.
+    (B, T) of 0/1 marks the real steps (None: all of them); a row passes h
+    through unchanged where it is 0, so padded steps contribute nothing to
+    the state or the gradients. Any pattern works, holes and empty rows or
+    steps included.
+
+    Only the real (row, step) pairs are computed, like a packed sequence:
+    they are gathered time-major, the input projection is one matrix product
+    over them, and step t runs its recurrent product and gates on the rows
+    real at t. Backpropagation through time visits the same rows; the weight
+    and bias gradients are one product or sum each over the real pairs, and
+    `dx` is scattered back to the real positions (zero at padding). The
+    buffers it reads (gates and `U_n h` of the real pairs) are kept only when
+    a graph is recorded, not under `no_grad`.
     """
     if x.value.ndim != 3:
         raise GradError(f"gru_sequence needs x of shape (B, T, in), got {x.shape}")
@@ -304,56 +319,74 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, mask=None) -> tuple[Tenso
         raise GradError(f"gru_sequence shape mismatch: x {x.shape}, h0 {h0.shape}, w_x {w.w_x.shape}")
     if steps == 0:
         return h0, constant(np.zeros((bsz, 0, hd)))
-    keep = None if mask is None else np.asarray(mask, dtype=np.float64).T[:, :, None]  # (T, B, 1)
+    if mask is None:
+        real = np.ones((steps, bsz), dtype=bool)
+    else:
+        m = np.asarray(mask, dtype=np.float64)
+        if not ((m == 0.0) | (m == 1.0)).all():
+            raise GradError("gru_sequence mask must hold only 0 and 1")
+        real = m.T == 1.0  # (T, B), so the real pairs come out time-major
+    rows_of = np.nonzero(real)[1]
+    off = np.concatenate(([0], np.cumsum(real.sum(axis=1))))
+    record = _grad_enabled
     wx, wh = w.w_x.value, w.w_h.value
 
-    # time-major buffers for the recurrence and for what the backward pass reads
-    gx = (x.value.reshape(-1, d_in) @ wx.T + w.bias.value).reshape(bsz, steps, 3 * hd)
+    def rows(t):
+        """Step t's real rows: a slice when every row is real, else indices."""
+        lo, hi = off[t], off[t + 1]
+        return slice(None) if hi - lo == bsz else rows_of[lo:hi]
+
+    # gates[k] starts as W x + b of the k-th real pair and becomes its (z, r, n)
+    gates = x.value.transpose(1, 0, 2)[real] @ wx.T + w.bias.value
+    un_h = np.empty((len(rows_of), hd)) if record else None
     hs = np.empty((steps + 1, bsz, hd))
     hs[0] = h0.value
-    zr = np.empty((steps, bsz, 2 * hd))
-    n = np.empty((steps, bsz, hd))
-    hn = np.empty((steps, bsz, hd))
     for t in range(steps):
-        h = hs[t]
+        lo, hi = off[t], off[t + 1]
+        if hi - lo < bsz:
+            hs[t + 1] = hs[t]
+        if lo == hi:
+            continue
+        sel = rows(t)
+        h = hs[t][sel]
         gh = h @ wh.T
-        zr[t] = _sigmoid(gx[:, t, : 2 * hd] + gh[:, : 2 * hd])
-        z, r = zr[t, :, :hd], zr[t, :, hd:]
-        hn[t] = gh[:, 2 * hd:]
-        n[t] = np.tanh(gx[:, t, 2 * hd:] + r * hn[t])
-        h_new = (1.0 - z) * n[t] + z * h
-        hs[t + 1] = h_new if keep is None else h_new * keep[t] + h * (1.0 - keep[t])
+        gate = gates[lo:hi]
+        gate[:, : 2 * hd] = _sigmoid(gate[:, : 2 * hd] + gh[:, : 2 * hd])
+        z, r = gate[:, :hd], gate[:, hd: 2 * hd]
+        gate[:, 2 * hd:] = np.tanh(gate[:, 2 * hd:] + r * gh[:, 2 * hd:])
+        if record:
+            un_h[lo:hi] = gh[:, 2 * hd:]
+        hs[t + 1][sel] = (1.0 - z) * gate[:, 2 * hd:] + z * h
 
-    seq = Tensor(hs[1:].transpose(1, 0, 2), parents=(x, h0, w.w_x, w.w_h, w.bias))
-    last = Tensor(hs[steps], parents=(seq,))
+    def bw_seq(g, getbuf):
+        dgx = np.empty_like(gates)
+        dgh = np.empty_like(gates)
+        dh = np.zeros((bsz, hd))
+        for t in reversed(range(steps)):
+            dh += g[:, t]
+            lo, hi = off[t], off[t + 1]
+            if lo == hi:
+                continue
+            sel = rows(t)
+            z, r, n = gates[lo:hi, :hd], gates[lo:hi, hd: 2 * hd], gates[lo:hi, 2 * hd:]
+            d_new = dh[sel]
+            dn = d_new * (1.0 - n * n) * (1.0 - z)
+            dgh[lo:hi, :hd] = d_new * (hs[t][sel] - n) * z * (1.0 - z)
+            dgh[lo:hi, hd: 2 * hd] = dn * un_h[lo:hi] * r * (1.0 - r)
+            dgh[lo:hi, 2 * hd:] = dn * r
+            dgx[lo:hi, : 2 * hd] = dgh[lo:hi, : 2 * hd]
+            dgx[lo:hi, 2 * hd:] = dn
+            dh[sel] = d_new * z + dgh[lo:hi] @ wh
+        bx, bh0, bwx, bwh, bb = getbuf(x), getbuf(h0), getbuf(w.w_x), getbuf(w.w_h), getbuf(w.bias)
+        bh0 += dh
+        bx.transpose(1, 0, 2)[real] += dgx @ wx
+        bwx += dgx.T @ x.value.transpose(1, 0, 2)[real]
+        bb += dgx.sum(axis=0)
+        bwh += dgh.T @ hs[:-1][real]
+
+    seq = Tensor(hs[1:].transpose(1, 0, 2), parents=(x, h0, w.w_x, w.w_h, w.bias), backward=bw_seq)
 
     def bw_last(g, getbuf):
         getbuf(seq)[:, -1] += g
 
-    def bw_seq(g, getbuf):
-        dgx = np.empty((bsz, steps, 3 * hd))
-        dgh = np.empty((steps, bsz, 3 * hd))
-        dh = np.zeros((bsz, hd))
-        for t in reversed(range(steps)):
-            dh += g[:, t]
-            z, r = zr[t, :, :hd], zr[t, :, hd:]
-            d_new = dh if keep is None else dh * keep[t]
-            dn = d_new * (1.0 - n[t] * n[t]) * (1.0 - z)
-            dgh[t, :, :hd] = d_new * (hs[t] - n[t]) * z * (1.0 - z)
-            dgh[t, :, hd: 2 * hd] = dn * hn[t] * r * (1.0 - r)
-            dgh[t, :, 2 * hd:] = dn * r
-            dgx[:, t, : 2 * hd] = dgh[t, :, : 2 * hd]
-            dgx[:, t, 2 * hd:] = dn
-            carry = d_new * z + dgh[t] @ wh
-            dh = carry if keep is None else carry + dh * (1.0 - keep[t])
-        dgx_rows = dgx.reshape(-1, 3 * hd)
-        bx, bh0, bwx, bwh, bb = getbuf(x), getbuf(h0), getbuf(w.w_x), getbuf(w.w_h), getbuf(w.bias)
-        bh0 += dh
-        bx += (dgx_rows @ wx).reshape(bsz, steps, d_in)
-        bwx += dgx_rows.T @ x.value.reshape(-1, d_in)
-        bb += dgx_rows.sum(axis=0)
-        bwh += dgh.reshape(-1, 3 * hd).T @ hs[:-1].reshape(-1, hd)
-
-    seq._backward = bw_seq
-    last._backward = bw_last
-    return last, seq
+    return Tensor(hs[steps].copy(), parents=(seq,), backward=bw_last), seq

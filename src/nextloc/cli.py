@@ -12,9 +12,10 @@ Subcommands (all driven by one config file; see config.py for the schema):
 * ``sweep --config F --lambda-grid SPEC [--seeds LIST]``  writes sweep.csv
 
 ``--set key=value`` (repeatable) overrides config file values. Every artifact
-carries a ``config_hash=... seed=...`` header; evaluate and analyze refuse
-checkpoints whose hash does not match the active config. Grid SPEC example:
-``lambda_s=0,1,5,10;lambda_t=1,10`` (cross product). Exit status is 0 on
+carries a ``config_hash=... seed=...`` header; evaluate, analyze and
+``train --resume`` refuse checkpoints whose hash does not match the active
+config or whose tensor names and shapes do not fit the prepared data. Grid
+SPEC example: ``lambda_s=0,1,5,10;lambda_t=1,10`` (cross product). Exit status is 0 on
 success; failures print one machine-readable ``nextloc-error: <kind>: <msg>``
 line on stderr.
 """
@@ -32,7 +33,7 @@ import numpy as np
 from . import evaluate as ev
 from . import ingest, preprocess
 from .config import ConfigFileError, RunConfig, config_hash, parse_config
-from .model import ConfigError, ModelConfig
+from .model import ConfigError, ModelConfig, param_shapes
 from .objective import LossWeights
 from .params import CheckpointError, load_checkpoint, save_checkpoint
 from .trainer import TrainHyper, TrainingDiverged, fit, make_instances
@@ -81,7 +82,10 @@ def _load_dataset(cfg: RunConfig):
     return vocab, users
 
 
-def _load_matching_checkpoint(cfg: RunConfig, path):
+def _load_matching_checkpoint(cfg: RunConfig, path, mc: ModelConfig):
+    """Load a checkpoint made with the run config (same hash) whose tensors
+    are the ones the model needs on the prepared data (same names and
+    shapes; the hash does not cover the data)."""
     if not Path(path).exists():
         raise CliError("missing-artifact", f"checkpoint {path} not found")
     store, meta = load_checkpoint(path)
@@ -89,6 +93,15 @@ def _load_matching_checkpoint(cfg: RunConfig, path):
     got = meta.get("config_hash")
     if got != want:
         raise CliError("config-mismatch", f"checkpoint {path} has config_hash={got}, run config has {want}")
+    have = {name: store[name].value.shape for name in store.names()}
+    need = dict(param_shapes(mc))
+    for name in sorted(need.keys() | have.keys()):
+        if have.get(name) != need.get(name):
+            raise CliError(
+                "config-mismatch",
+                f"checkpoint {path} does not fit the prepared data: tensor {name} has shape "
+                f"{have.get(name)}, the model needs {need.get(name)}",
+            )
     return store, meta
 
 
@@ -124,7 +137,7 @@ def cmd_train(cfg: RunConfig, resume: str | None) -> None:
     hyper = TrainHyper(cfg.learning_rate, cfg.batch_size, cfg.epochs, cfg.patience, cfg.clip_norm)
     initial, start_epoch = None, 0
     if resume:
-        initial, meta = _load_matching_checkpoint(cfg, resume)
+        initial, meta = _load_matching_checkpoint(cfg, resume, mc)
         start_epoch = int(meta.get("epoch", -1)) + 1
     out = _out(cfg)
     rows = []
@@ -161,8 +174,8 @@ def cmd_train(cfg: RunConfig, resume: str | None) -> None:
 
 def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> None:
     vocab, users = _load_dataset(cfg)
-    store, _meta = _load_matching_checkpoint(cfg, checkpoint)
     mc = _model_config(cfg, vocab)
+    store, _meta = _load_matching_checkpoint(cfg, checkpoint, mc)
     instances = make_instances(users, "test")
     report = ev.build_report(store, mc, users, instances, vocab=vocab)
     payload = {"config_hash": config_hash(cfg), "seed": cfg.seed, **report.to_json_dict()}
@@ -182,8 +195,8 @@ def _write_csv(path, header: str, columns: list[str], rows) -> None:
 
 def cmd_analyze(cfg: RunConfig, checkpoint: str) -> None:
     vocab, users = _load_dataset(cfg)
-    store, _meta = _load_matching_checkpoint(cfg, checkpoint)
     mc = _model_config(cfg, vocab)
+    store, _meta = _load_matching_checkpoint(cfg, checkpoint, mc)
     instances = make_instances(users, "test")
     preds = ev.predict(store, mc, instances, vocab=vocab)
     out = _out(cfg)
@@ -238,6 +251,16 @@ def _parse_grid(spec: str) -> list[dict[str, float]]:
     for name, values in axes:
         points = [dict(p, **{name: v}) for p in points for v in values]
     return points
+
+
+def _parse_seeds(spec: str) -> list[int]:
+    try:
+        seeds = [int(s) for s in spec.split(",")]
+    except ValueError:
+        raise CliError("bad-seeds", f"cannot parse seed list {spec!r}; expected comma-separated integers") from None
+    if any(s < 0 for s in seeds):
+        raise CliError("bad-seeds", f"seeds must be >= 0, got {spec!r}")
+    return seeds
 
 
 def cmd_sweep(cfg: RunConfig, grid_spec: str, seeds: list[int]) -> None:
@@ -302,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "analyze":
             cmd_analyze(cfg, args.checkpoint)
         elif args.command == "sweep":
-            cmd_sweep(cfg, args.lambda_grid, [int(s) for s in args.seeds.split(",")])
+            cmd_sweep(cfg, args.lambda_grid, _parse_seeds(args.seeds))
     except ConfigFileError as e:
         return _fail("config-invalid", "; ".join(str(e).splitlines()), status=2)
     except CliError as e:

@@ -143,6 +143,8 @@ def validation_problems(cfg: RunConfig) -> list[str]:
             problems.append(f"{name}: must be finite and > 0")
     if cfg.patience < 0:
         problems.append("patience: must be >= 0")
+    if cfg.seed < 0:
+        problems.append("seed: must be >= 0")
     if cfg.reference_counts:
         try:
             triple = cfg.reference_counts.split(",")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .geo import GridSpec, GeoPoint, grid_index, haversine_vec
 from .model import ModelConfig, forward
 from .objective import LossWeights
@@ -49,12 +50,14 @@ def predict(
     """Ranked location (and, when available, category) predictions.
 
     Variants without a category head get category rankings derived from the
-    predicted locations' categories, when `vocab` carries categories.
+    predicted locations' categories, when `vocab` carries categories. The
+    forward pass records no graph.
     """
     ranked, cats = [], []
     for start in range(0, len(instances), batch_size):
         batch = batchify(instances[start : start + batch_size])
-        state = forward(store, cfg, batch)
+        with ad.no_grad():
+            state = forward(store, cfg, batch)
         ranked.append(rank_locations(state.loc_logits.value, topn))
         if state.cat_logits is not None:
             k = min(topn, state.cat_logits.value.shape[1])

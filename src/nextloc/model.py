@@ -158,24 +158,25 @@ class Batch:
 # Parameter construction
 # ---------------------------------------------------------------------------
 
-def build_params(cfg: ModelConfig, seed: int, init: str = "fanin") -> ParamStore:
-    """Create every table and weight for the configured variant, in a fixed
-    order so identical (cfg, seed) always yields identical values."""
-    store = ParamStore(seed)
-    store.add("emb.loc", (cfg.n_locs, cfg.d_loc), init)
+def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every table and weight of the configured variant,
+    in creation order."""
     n_cat_rows = cfg.n_cats if cfg.has_categories else 1  # shared no-category row
-    store.add("emb.cat", (n_cat_rows, cfg.d_cat), init)
-    store.add("emb.hour", (N_HOURS, cfg.d_hour), init)
-    store.add("emb.day", (N_DAYS, cfg.d_day), init)
-    store.add("emb.user", (cfg.n_users, cfg.d_user), init)
+    shapes = [
+        ("emb.loc", (cfg.n_locs, cfg.d_loc)),
+        ("emb.cat", (n_cat_rows, cfg.d_cat)),
+        ("emb.hour", (N_HOURS, cfg.d_hour)),
+        ("emb.day", (N_DAYS, cfg.d_day)),
+        ("emb.user", (cfg.n_users, cfg.d_user)),
+    ]
 
     h = cfg.hidden
     for pos, branch in enumerate(cfg.branches):
         d_in = cfg.dim_record + (h if cfg.wiring.hierarchical and pos > 0 else 0)
         for part in ("long", "short"):
-            store.add(f"gru.{branch}.{part}.w_x", (3 * h, d_in), init)
-            store.add(f"gru.{branch}.{part}.w_h", (3 * h, h), init)
-            store.add(f"gru.{branch}.{part}.b", (3 * h,), init)
+            shapes.append((f"gru.{branch}.{part}.w_x", (3 * h, d_in)))
+            shapes.append((f"gru.{branch}.{part}.w_h", (3 * h, h)))
+            shapes.append((f"gru.{branch}.{part}.b", (3 * h,)))
 
     n_out = {"time": 1, "cat": cfg.n_cats, "loc": cfg.n_locs}
     conv_width = {"time": cfg.d_hour + cfg.d_day, "cat": cfg.d_cat}
@@ -183,13 +184,22 @@ def build_params(cfg: ModelConfig, seed: int, init: str = "fanin") -> ParamStore
     for head in cfg.heads:
         d_in = h
         if upstream is not None:
-            store.add(f"conv.{upstream}.w", (conv_width[upstream], n_out[upstream]), init)
-            store.add(f"conv.{upstream}.b", (conv_width[upstream],), init)
+            shapes.append((f"conv.{upstream}.w", (conv_width[upstream], n_out[upstream])))
+            shapes.append((f"conv.{upstream}.b", (conv_width[upstream],)))
             d_in += conv_width[upstream]
-        store.add(f"pred.{head}.w", (n_out[head], d_in), init)
-        store.add(f"pred.{head}.b", (n_out[head],), init)
+        shapes.append((f"pred.{head}.w", (n_out[head], d_in)))
+        shapes.append((f"pred.{head}.b", (n_out[head],)))
         if cfg.wiring.chained:
             upstream = head
+    return shapes
+
+
+def build_params(cfg: ModelConfig, seed: int, init: str = "fanin") -> ParamStore:
+    """Create every table and weight for the configured variant, in a fixed
+    order so identical (cfg, seed) always yields identical values."""
+    store = ParamStore(seed)
+    for name, shape in param_shapes(cfg):
+        store.add(name, shape, init)
     return store
 
 

@@ -85,6 +85,38 @@ def test_repeated_backward_accumulates():
 
 
 # ---------------------------------------------------------------------------
+# no_grad
+# ---------------------------------------------------------------------------
+
+def test_no_grad_outputs_have_no_parents():
+    w, b = ad.parameter(np.eye(2)), ad.parameter(np.zeros(2))
+    with ad.no_grad():
+        out = ad.total(ad.affine(ad.constant(np.ones((1, 2))), w, b))
+    assert out.parents == () and out._backward is None
+    assert out.value == 2.0
+
+
+def test_backward_on_no_grad_graph_raises():
+    w, b = ad.parameter(np.eye(2)), ad.parameter(np.zeros(2))
+    with ad.no_grad():
+        loss = ad.mean(ad.affine(ad.constant(np.ones((1, 2))), w, b))
+    with pytest.raises(GradError):
+        backward(loss)
+    assert not w.grad.any()
+
+
+def test_grad_mode_returns_after_exception():
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    x = ad.parameter(np.ones(2))
+    out = ad.total(x)
+    assert out.parents == (x,)
+    backward(out)
+    assert np.array_equal(x.grad, np.ones(2))
+
+
+# ---------------------------------------------------------------------------
 # GRU sequence
 # ---------------------------------------------------------------------------
 

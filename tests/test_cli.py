@@ -313,6 +313,13 @@ def test_non_finite_config_value_rejected(tmp_path, capsys, key, value):
     assert single_error_line(capsys.readouterr().err).startswith(f"nextloc-error: config-invalid: {key}:")
 
 
+def test_negative_seed_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    rc = main(["train", "--config", str(cfg), "--seed", "-1"])
+    assert rc == 2
+    assert single_error_line(capsys.readouterr().err).startswith("nextloc-error: config-invalid: seed:")
+
+
 def test_non_finite_sweep_grid_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["prepare", "--config", str(cfg)]) == 0
@@ -367,3 +374,42 @@ def test_evaluate_rejects_trailing_checkpoint_bytes(trained, capsys):
     rc = main(["evaluate", "--config", str(cfg), "--checkpoint", str(padded)])
     assert rc == 1
     assert "trailing bytes" in single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("seeds", ["1,x", "", "1,-1"])
+def test_sweep_rejects_bad_seed_list(tmp_path, capsys, seeds):
+    cfg = write_config(tmp_path)
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    rc = main(["sweep", "--config", str(cfg), "--lambda-grid", "lambda_s=0", "--seeds", seeds])
+    assert rc == 1
+    assert single_error_line(capsys.readouterr().err).startswith("nextloc-error: bad-seeds:")
+
+
+@pytest.fixture(scope="module")
+def checkpoint_of_other_data(tmp_path_factory):
+    """best.ckpt trained on the fixture, then the same dataset_path
+    re-prepared from the records of half the users."""
+    tmp_path = tmp_path_factory.mktemp("cli-other-data")
+    data = tmp_path / "checkins.txt"
+    lines = FIXTURE.read_text(encoding="utf-8").splitlines(keepends=True)
+    data.write_text("".join(lines), encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CONFIG.format(dataset=data, out=tmp_path / "out"))
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    data.write_text("".join(line for line in lines if line.split("\t")[0] in ("u00", "u01", "u02")),
+                    encoding="utf-8")
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    return cfg, tmp_path / "out" / "best.ckpt"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "analyze", "train"])
+def test_checkpoint_for_other_data_refused(checkpoint_of_other_data, capsys, command):
+    cfg, ckpt = checkpoint_of_other_data
+    capsys.readouterr()
+    flag = "--resume" if command == "train" else "--checkpoint"
+    rc = main([command, "--config", str(cfg), flag, str(ckpt)])
+    assert rc == 1
+    line = single_error_line(capsys.readouterr().err)
+    assert line.startswith("nextloc-error: config-mismatch:") and "shape" in line

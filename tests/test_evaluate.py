@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nextloc import autodiff as ad
+from nextloc import evaluate
 from nextloc.evaluate import (
     Predictions,
     attractiveness_error,
@@ -11,6 +13,7 @@ from nextloc.evaluate import (
     dataset_grid,
     displacement_comparison,
     joint_causal_analysis,
+    location_recall,
     pred_target_distance_hist,
     predict,
     rank_locations,
@@ -18,11 +21,11 @@ from nextloc.evaluate import (
     sensitivity_sweep,
 )
 from nextloc.geo import GeoPoint, GridSpec, grid_index
-from nextloc.model import ModelConfig, build_params
-from nextloc.objective import LossWeights
+from nextloc.model import VARIANTS, ModelConfig, build_params, forward
+from nextloc.objective import LossWeights, total_loss
 from nextloc.preprocess import Vocab
 from nextloc.synth import weekly_schedule_corpus
-from nextloc.trainer import TrainHyper, fit, make_instances
+from nextloc.trainer import TrainHyper, batchify, fit, make_instances, train_epoch
 
 
 def preds_of(user, ranked, target_loc, cat_ranked=None, target_cat=None, current=None):
@@ -265,3 +268,75 @@ def test_sweep_lambda_s_zero_matches_clsl_bitwise():
     for name in cslsl.store.names():
         assert np.array_equal(cslsl.store[name].value, clsl.store[name].value)
     assert cslsl.best_recall == clsl.best_recall
+
+
+# ---------------------------------------------------------------------------
+# inference records no graph
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predict_without_graph_matches_recorded_forward(monkeypatch, variant):
+    vocab, users = weekly_schedule_corpus(n_users=4, n_weeks=6, slots_per_week=3)
+    cfg = small_cfg(vocab, variant)
+    store = build_params(cfg, seed=2)
+    instances = make_instances(users, "test")
+    batch = batchify(instances)
+    recorded = forward(store, cfg, batch)
+    with ad.no_grad():
+        bare = forward(store, cfg, batch)
+    for name in ("t_hat", "cat_logits", "loc_logits"):
+        a, b = getattr(recorded, name), getattr(bare, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a.value, b.value), name
+            assert b.parents == () and b._backward is None
+    seen = []
+
+    def recording_forward(*args):
+        seen.append(forward(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(evaluate, "forward", recording_forward)
+    preds = predict(store, cfg, instances, vocab=vocab, batch_size=len(instances))
+    assert [s.loc_logits.parents for s in seen] == [()]
+    assert np.array_equal(preds.loc_ranked, rank_locations(recorded.loc_logits.value, 10))
+    if recorded.cat_logits is not None:
+        want = np.argsort(-recorded.cat_logits.value, axis=1, kind="stable")[:, : min(10, vocab.n_cats)]
+        assert np.array_equal(preds.cat_ranked, want)
+
+
+def test_training_gradients_unchanged_after_location_recall():
+    vocab, users = weekly_schedule_corpus(n_users=4, n_weeks=6, slots_per_week=3)
+    cfg = small_cfg(vocab)
+    store = build_params(cfg, seed=3)
+    batch = batchify(make_instances(users, "train")[:16])
+
+    def gradients():
+        store.zero_grad()
+        state = forward(store, cfg, batch)
+        node, _ = total_loss(state, batch.target_t, batch.target_cat, batch.target_loc, LossWeights(),
+                             vocab.loc_coord)
+        ad.backward(node)
+        return {n: store[n].grad.copy() for n in store.names()}
+
+    before = gradients()
+    location_recall(store, cfg, make_instances(users, "test"))
+    after = gradients()
+    assert all(before[n].any() for n in before if n.startswith("gru."))
+    for n in before:
+        assert np.array_equal(before[n], after[n]), n
+
+
+def test_training_epoch_unchanged_after_location_recall():
+    vocab, users = weekly_schedule_corpus(n_users=4, n_weeks=6, slots_per_week=3)
+    cfg = small_cfg(vocab)
+    train, test = make_instances(users, "train"), make_instances(users, "test")
+    hyper = TrainHyper(learning_rate=1e-3, batch_size=16, epochs=1)
+    plain, after_eval = build_params(cfg, seed=4), build_params(cfg, seed=4)
+    location_recall(after_eval, cfg, test)
+    for store in (plain, after_eval):
+        train_epoch(store, cfg, train, LossWeights(), hyper, vocab, np.random.default_rng(0))
+    for n in plain.names():
+        for attr in ("m", "v"):
+            assert np.array_equal(getattr(plain.entries[n], attr), getattr(after_eval.entries[n], attr)), n
+        assert np.array_equal(plain[n].value, after_eval[n].value), n
