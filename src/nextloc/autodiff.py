@@ -11,16 +11,18 @@ no parents and no backward closure, so inference keeps none of the buffers
 a backward pass would read, and `backward` on such an output raises
 `GradError`.
 
-The operations are the few the recurrent predictor needs. `gru_sequence`
-runs a whole GRU chain as one node and touches only the real (row, step)
-pairs of its mask: the input projection is one matrix product over the real
-steps, hoisted out of the recurrence, each step updates only the rows still
-active, and its backward pass is hand-written backpropagation through time
-over the same rows. `embedding`, `concat_cols` and `affine` build the
+The operations are the few the recurrent predictor needs. A `Packing` lists
+the real (row, step) pairs of a padded batch's 0/1 mask in time-major order,
+and sequences are stored packed over it, one (N, dim) row per real pair:
+padding is never embedded, run or stored. `gru_sequence` runs a whole GRU
+chain over a packed sequence as one node, with the input projection hoisted
+out of the recurrence, gate-major (3, N, H) gate buffers so each step's gate
+math runs on contiguous blocks, and hand-written backpropagation through
+time over the same blocks. `embedding`, `concat_cols` and `affine` build the
 chains' inputs and the heads; `softmax_xent`, `circular_abs`, `cmul`,
 `smul`, `add` and `mean` build the loss.
 
-Conventions: sequences are batch-major (B, T, dim); weight matrices are
+Conventions: sequences are packed time-major (N, dim); weight matrices are
 (out, in) and applied as ``x @ W.T``; no general broadcasting.
 """
 
@@ -285,108 +287,173 @@ class GRUWeights:
         return self.w_h.value.shape[1]
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * v))
+class Packing:
+    """The real (row, step) pairs of a (B, T) 0/1 mask, in time-major order.
+
+    A sequence is stored packed: row k of an (N, ...) array belongs to pair
+    k = (rows[k], cols[k]), and the pairs of step t are off[t]:off[t+1], in
+    increasing row order. A GRU over the packing keeps its states in one
+    (B + N, H) array whose first B rows are h0 and whose row B + k is the
+    state after pair k: `prev[k]` is the row pair k starts from (its batch
+    row's previous pair, or that row's h0) and `last[b]` the row holding
+    batch row b's final state. Any 0/1 pattern is valid, holes and empty
+    rows or steps included; other values raise `GradError`.
+    """
+
+    def __init__(self, mask):
+        m = np.asarray(mask, dtype=np.float64)
+        if m.ndim != 2:
+            raise GradError(f"a sequence mask must be (B, T), got shape {m.shape}")
+        if not ((m == 0.0) | (m == 1.0)).all():
+            raise GradError("a sequence mask must hold only 0 and 1")
+        self.batch, self.steps = m.shape
+        self.cols, self.rows = np.nonzero(m.T == 1.0)
+        self.off = np.searchsorted(self.cols, np.arange(self.steps + 1))
+        order = np.argsort(self.rows, kind="stable")  # each batch row's pairs, in step order
+        r = self.rows[order]
+        starts = np.ones(len(r), dtype=bool)
+        starts[1:] = r[1:] != r[:-1]
+        ends = np.ones(len(r), dtype=bool)
+        ends[:-1] = starts[1:]
+        self.prev = np.empty(len(r), dtype=np.intp)
+        self.prev[order] = np.where(starts, r, self.batch + np.roll(order, 1))
+        self.last = np.arange(self.batch)
+        self.last[r[ends]] = self.batch + order[ends]
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    def gather(self, a) -> np.ndarray:
+        """The entries of a (B, T, ...) array at the real pairs: (N, ...)."""
+        return np.asarray(a)[self.rows, self.cols]
 
 
-def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, mask=None) -> tuple[Tensor, Tensor]:
-    """Run one GRU over x (B, T, in) from h0 (B, H). Returns the final state
-    (B, H) and every step's state (B, T, H); with T = 0 the final state is h0.
+def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[Tensor, Tensor]:
+    """Run one GRU from h0 (B, H) over x (N, in), the inputs of `pack`'s real
+    pairs. Returns the final state of every row (B, H), and the state after
+    every pair, packed (N, H). A row without real pairs ends in its h0 row;
+    with no pairs at all the final state is h0 itself.
 
     Each step computes z = sig(Wz x + Uz h + bz), r = sig(Wr x + Ur h + br),
-    n = tanh(Wn x + r * (Un h) + bn) and h' = (1 - z) * n + z * h. `mask`
-    (B, T) of 0/1 marks the real steps (None: all of them); a row passes h
-    through unchanged where it is 0, so padded steps contribute nothing to
-    the state or the gradients. Any pattern works, holes and empty rows or
-    steps included.
+    n = tanh(Wn x + r * (Un h) + bn) and h' = (1 - z) * n + z * h on the rows
+    real at that step; the other rows keep their state, so padding is never
+    computed and takes no gradient.
 
-    Only the real (row, step) pairs are computed, like a packed sequence:
-    they are gathered time-major, the input projection is one matrix product
-    over them, and step t runs its recurrent product and gates on the rows
-    real at t. Backpropagation through time visits the same rows; the weight
-    and bias gradients are one product or sum each over the real pairs, and
-    `dx` is scattered back to the real positions (zero at padding). The
-    buffers it reads (gates and `U_n h` of the real pairs) are kept only when
-    a graph is recorded, not under `no_grad`.
+    Layout: the input projection is one product per gate over all pairs,
+    hoisted out of the recurrence into a gate-major (3, N, H) buffer, so a
+    step's z, r and n are contiguous (rows, H) blocks that the gate math
+    updates in place. Step t gathers its rows' previous states by index from
+    the (B + N, H) state array, runs its recurrent product into a
+    preallocated buffer and writes its new states to a contiguous block.
+    Backpropagation through time visits the same blocks; the weight and
+    bias gradients are one product or sum per gate over all pairs, and `dx`
+    is one (N, in) product. The buffers the backward pass reads (gates,
+    `U_n h` and each pair's previous state) are kept only when a graph is
+    recorded, not under `no_grad`.
     """
-    if x.value.ndim != 3:
-        raise GradError(f"gru_sequence needs x of shape (B, T, in), got {x.shape}")
-    bsz, steps, d_in = x.value.shape
-    hd = w.hidden
-    if (h0.value.shape != (bsz, hd) or w.w_x.value.shape != (3 * hd, d_in)
-            or w.w_h.value.shape != (3 * hd, hd) or w.bias.value.shape != (3 * hd,)
-            or (mask is not None and np.shape(mask) != (bsz, steps))):
-        raise GradError(f"gru_sequence shape mismatch: x {x.shape}, h0 {h0.shape}, w_x {w.w_x.shape}")
-    if steps == 0:
-        return h0, constant(np.zeros((bsz, 0, hd)))
-    if mask is None:
-        real = np.ones((steps, bsz), dtype=bool)
-    else:
-        m = np.asarray(mask, dtype=np.float64)
-        if not ((m == 0.0) | (m == 1.0)).all():
-            raise GradError("gru_sequence mask must hold only 0 and 1")
-        real = m.T == 1.0  # (T, B), so the real pairs come out time-major
-    rows_of = np.nonzero(real)[1]
-    off = np.concatenate(([0], np.cumsum(real.sum(axis=1))))
+    bsz, n_pairs, hd = pack.batch, pack.size, w.hidden
+    if (x.value.ndim != 2 or x.value.shape[0] != n_pairs or h0.value.shape != (bsz, hd)
+            or w.w_x.value.shape != (3 * hd, x.value.shape[1]) or w.w_h.value.shape != (3 * hd, hd)
+            or w.bias.value.shape != (3 * hd,)):
+        raise GradError(f"gru_sequence shape mismatch: x {x.shape} for {n_pairs} pairs, h0 {h0.shape}, "
+                        f"w_x {w.w_x.shape}")
+    if n_pairs == 0:
+        return h0, constant(np.zeros((0, hd)))
+    d_in = x.value.shape[1]
+    off, prev = pack.off, pack.prev
     record = _grad_enabled
-    wx, wh = w.w_x.value, w.w_h.value
+    wx = w.w_x.value.reshape(3, hd, d_in)
+    wh = w.w_h.value.reshape(3, hd, hd)
+    wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))  # U_k.T per gate; contiguous runs the per-step products faster
 
-    def rows(t):
-        """Step t's real rows: a slice when every row is real, else indices."""
+    # gates[:, k] starts as W x + b of pair k and becomes its (z, r, n)
+    gates = np.matmul(x.value, wx.transpose(0, 2, 1))
+    gates += w.bias.value.reshape(3, 1, hd)
+    hs = np.empty((bsz + n_pairs, hd))
+    hs[:bsz] = h0.value
+    h_prev = np.empty((n_pairs if record else bsz, hd))
+    un_h = np.empty((n_pairs, hd)) if record else None
+    uh = np.empty((3, bsz, hd))
+    tmp = np.empty((bsz, hd))
+    for t in range(pack.steps):
         lo, hi = off[t], off[t + 1]
-        return slice(None) if hi - lo == bsz else rows_of[lo:hi]
-
-    # gates[k] starts as W x + b of the k-th real pair and becomes its (z, r, n)
-    gates = x.value.transpose(1, 0, 2)[real] @ wx.T + w.bias.value
-    un_h = np.empty((len(rows_of), hd)) if record else None
-    hs = np.empty((steps + 1, bsz, hd))
-    hs[0] = h0.value
-    for t in range(steps):
-        lo, hi = off[t], off[t + 1]
-        if hi - lo < bsz:
-            hs[t + 1] = hs[t]
         if lo == hi:
             continue
-        sel = rows(t)
-        h = hs[t][sel]
-        gh = h @ wh.T
-        gate = gates[lo:hi]
-        gate[:, : 2 * hd] = _sigmoid(gate[:, : 2 * hd] + gh[:, : 2 * hd])
-        z, r = gate[:, :hd], gate[:, hd: 2 * hd]
-        gate[:, 2 * hd:] = np.tanh(gate[:, 2 * hd:] + r * gh[:, 2 * hd:])
+        h = h_prev[lo:hi] if record else h_prev[: hi - lo]
+        np.take(hs, prev[lo:hi], axis=0, out=h, mode="clip")  # valid indices; "clip" writes out= unbuffered
+        u = uh[:, : hi - lo]
+        np.matmul(h, wh_t, out=u)
+        zr, z, r, n = gates[:2, lo:hi], gates[0, lo:hi], gates[1, lo:hi], gates[2, lo:hi]
+        zr += u[:2]
+        zr *= 0.5
+        np.tanh(zr, out=zr)
+        zr += 1.0
+        zr *= 0.5  # sig(v) = (1 + tanh(v / 2)) / 2
         if record:
-            un_h[lo:hi] = gh[:, 2 * hd:]
-        hs[t + 1][sel] = (1.0 - z) * gate[:, 2 * hd:] + z * h
+            un_h[lo:hi] = u[2]
+        u[2] *= r
+        n += u[2]
+        np.tanh(n, out=n)
+        h_new = hs[bsz + lo: bsz + hi]
+        np.subtract(1.0, z, out=h_new)
+        h_new *= n
+        zh = np.multiply(z, h, out=tmp[: hi - lo])
+        h_new += zh
 
     def bw_seq(g, getbuf):
-        dgx = np.empty_like(gates)
-        dgh = np.empty_like(gates)
-        dh = np.zeros((bsz, hd))
-        for t in reversed(range(steps)):
-            dh += g[:, t]
+        dh = np.zeros((bsz + n_pairs, hd))  # d(loss)/d(state), h0 rows first
+        dh[bsz:] = g
+        dgh = np.empty((3, n_pairs, hd))    # d(loss)/d(U h) per gate
+        dn_x = np.empty((n_pairs, hd))      # d(loss)/d(W_n x); the z and r ones equal dgh[:2]
+        uh = np.empty((3, bsz, hd))
+        tmp = np.empty((bsz, hd))
+        for t in reversed(range(pack.steps)):
             lo, hi = off[t], off[t + 1]
             if lo == hi:
                 continue
-            sel = rows(t)
-            z, r, n = gates[lo:hi, :hd], gates[lo:hi, hd: 2 * hd], gates[lo:hi, 2 * hd:]
-            d_new = dh[sel]
-            dn = d_new * (1.0 - n * n) * (1.0 - z)
-            dgh[lo:hi, :hd] = d_new * (hs[t][sel] - n) * z * (1.0 - z)
-            dgh[lo:hi, hd: 2 * hd] = dn * un_h[lo:hi] * r * (1.0 - r)
-            dgh[lo:hi, 2 * hd:] = dn * r
-            dgx[lo:hi, : 2 * hd] = dgh[lo:hi, : 2 * hd]
-            dgx[lo:hi, 2 * hd:] = dn
-            dh[sel] = d_new * z + dgh[lo:hi] @ wh
+            z, r, n = gates[0, lo:hi], gates[1, lo:hi], gates[2, lo:hi]
+            dz, dr, dnh, dn = dgh[0, lo:hi], dgh[1, lo:hi], dgh[2, lo:hi], dn_x[lo:hi]
+            d_new, s = dh[bsz + lo: bsz + hi], tmp[: hi - lo]
+            np.multiply(n, n, out=s)
+            np.subtract(1.0, s, out=s)
+            np.multiply(d_new, s, out=dn)
+            np.subtract(1.0, z, out=s)
+            dn *= s                        # d_new (1 - n^2) (1 - z)
+            np.subtract(h_prev[lo:hi], n, out=dz)
+            dz *= d_new
+            dz *= z
+            dz *= s                        # d_new (h - n) z (1 - z)
+            np.multiply(dn, un_h[lo:hi], out=dr)
+            dr *= r
+            np.subtract(1.0, r, out=s)
+            dr *= s                        # dn (U_n h) r (1 - r)
+            np.multiply(dn, r, out=dnh)
+            u = uh[:, : hi - lo]
+            np.matmul(dgh[:, lo:hi], wh, out=u)
+            np.multiply(d_new, z, out=s)
+            s += u[0]
+            s += u[1]
+            s += u[2]
+            dh[prev[lo:hi]] += s           # a step's rows are distinct
         bx, bh0, bwx, bwh, bb = getbuf(x), getbuf(h0), getbuf(w.w_x), getbuf(w.w_h), getbuf(w.bias)
-        bh0 += dh
-        bx.transpose(1, 0, 2)[real] += dgx @ wx
-        bwx += dgx.T @ x.value.transpose(1, 0, 2)[real]
-        bb += dgx.sum(axis=0)
-        bwh += dgh.T @ hs[:-1][real]
+        bh0 += dh[:bsz]
+        bwx, bb = bwx.reshape(3, hd, d_in), bb.reshape(3, hd)
+        for k, dgx in enumerate((dgh[0], dgh[1], dn_x)):
+            bx += dgx @ wx[k]
+            bwx[k] += dgx.T @ x.value
+            bb[k] += dgx.sum(axis=0)
+        bwh = bwh.reshape(3, hd, hd)
+        bwh += np.matmul(dgh.transpose(0, 2, 1), h_prev)
 
-    seq = Tensor(hs[1:].transpose(1, 0, 2), parents=(x, h0, w.w_x, w.w_h, w.bias), backward=bw_seq)
+    seq = Tensor(hs[bsz:], parents=(x, h0, w.w_x, w.w_h, w.bias), backward=bw_seq)
+    last = pack.last
+    ended = last >= bsz  # rows with real pairs; the others end in h0
 
     def bw_last(g, getbuf):
-        getbuf(seq)[:, -1] += g
+        getbuf(seq)[last[ended] - bsz] += g[ended]
+        if not ended.all():
+            bh0 = getbuf(h0)
+            bh0[~ended] += g[~ended]
 
-    return Tensor(hs[steps].copy(), parents=(seq,), backward=bw_last), seq
+    return Tensor(hs[last], parents=(seq, h0), backward=bw_last), seq

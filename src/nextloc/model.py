@@ -211,27 +211,27 @@ def gru_weights(store: ParamStore, prefix: str) -> GRUWeights:
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def embed_step(store: ParamStore, cfg: ModelConfig, loc, cat, hour, day, user) -> Tensor:
-    """Embeddings of a (B, T) array of records, e_loc + e_cat + e_hour + e_day
-    + e_user concatenated in that order; (B, T, dim_record). `user` (B,)
-    gives each row's user."""
-    loc = np.asarray(loc)
-    cat_idx = np.asarray(cat) if cfg.has_categories else np.zeros(loc.shape, dtype=np.intp)
+def embed_step(store: ParamStore, cfg: ModelConfig, loc, cat, hour, day, user, pack: ad.Packing) -> Tensor:
+    """Embeddings of the real records of (B, T) index arrays, e_loc + e_cat +
+    e_hour + e_day + e_user concatenated in that order, packed in `pack`'s
+    order: (N, dim_record). `user` (B,) gives each row's user."""
+    loc = pack.gather(loc)
+    cat_idx = pack.gather(cat) if cfg.has_categories else np.zeros(loc.shape, dtype=np.intp)
     return ad.concat_cols(
         [
             ad.embedding(store["emb.loc"], loc),
             ad.embedding(store["emb.cat"], cat_idx),
-            ad.embedding(store["emb.hour"], hour),
-            ad.embedding(store["emb.day"], day),
-            ad.embedding(store["emb.user"], np.broadcast_to(np.asarray(user)[:, None], loc.shape)),
+            ad.embedding(store["emb.hour"], pack.gather(hour)),
+            ad.embedding(store["emb.day"], pack.gather(day)),
+            ad.embedding(store["emb.user"], np.asarray(user)[pack.rows]),
         ]
     )
 
 
-def run_gru(w: GRUWeights, h0: Tensor, x: Tensor, mask: np.ndarray | None) -> tuple[Tensor, Tensor]:
-    """One GRU chain over x (B, T, in); returns the final hidden state and
-    every step's state (B, T, hidden)."""
-    return ad.gru_sequence(x, h0, w, mask)
+def run_gru(w: GRUWeights, h0: Tensor, x: Tensor, pack: ad.Packing) -> tuple[Tensor, Tensor]:
+    """One GRU chain over the packed x (N, in); returns the final hidden
+    state (B, hidden) and every real step's state, packed (N, hidden)."""
+    return ad.gru_sequence(x, h0, w, pack)
 
 
 def lsc_forward(
@@ -240,26 +240,31 @@ def lsc_forward(
     long_x: Tensor,
     short_x: Tensor,
     h0: Tensor,
-    long_masks: np.ndarray | None = None,
-    short_masks: np.ndarray | None = None,
+    long_pack: ad.Packing,
+    short_pack: ad.Packing,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Long/short-term capturer: the long GRU runs over prior-session records
-    (B, Th, in) from h0 (h0 itself if there are none) and its final state
-    seeds the short GRU over the current prefix (B, Tp, in). Returns the
-    short GRU's final state and the per-step states of both chains."""
-    if short_x.shape[1] == 0:
+    """Long/short-term capturer: the long GRU runs over the packed
+    prior-session records of `long_pack` from h0 (h0 itself where a row has
+    none) and its final state seeds the short GRU over the packed current
+    prefix. Returns the short GRU's final state and the packed per-step
+    states of both chains."""
+    if short_pack.steps == 0:
         raise ValueError("prediction needs a non-empty current-session prefix")
-    h_long, long_states = run_gru(long_w, h0, long_x, long_masks)
-    h_short, short_states = run_gru(short_w, h_long, short_x, short_masks)
+    h_long, long_states = run_gru(long_w, h0, long_x, long_pack)
+    h_short, short_states = run_gru(short_w, h_long, short_x, short_pack)
     return h_short, long_states, short_states
 
 
 def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
-    """Run the configured variant on a padded batch: each branch's LSC, then
-    the heads it feeds, connected as the variant's `Wiring` says."""
+    """Run the configured variant on a padded batch: each branch's LSC over
+    the batch's real steps, then the heads it feeds, connected as the
+    variant's `Wiring` says."""
     wiring = cfg.wiring
-    hist = embed_step(store, cfg, batch.hist_loc, batch.hist_cat, batch.hist_hour, batch.hist_day, batch.user)
-    pref = embed_step(store, cfg, batch.pref_loc, batch.pref_cat, batch.pref_hour, batch.pref_day, batch.user)
+    hist_pack, pref_pack = ad.Packing(batch.hist_mask), ad.Packing(batch.pref_mask)
+    hist = embed_step(store, cfg, batch.hist_loc, batch.hist_cat, batch.hist_hour, batch.hist_day, batch.user,
+                      hist_pack)
+    pref = embed_step(store, cfg, batch.pref_loc, batch.pref_cat, batch.pref_hour, batch.pref_day, batch.user,
+                      pref_pack)
     h = zero_h = ad.constant(np.zeros((batch.size, cfg.hidden)))
     hist_in, pref_in = hist, pref
     preds: dict[str, Tensor] = {}
@@ -271,8 +276,8 @@ def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
             hist_in,
             pref_in,
             h if wiring.chained else zero_h,
-            long_masks=batch.hist_mask,
-            short_masks=batch.pref_mask,
+            hist_pack,
+            pref_pack,
         )
         for head in cfg.heads if branch == SHARED else (branch,):
             x = h

@@ -9,6 +9,8 @@ Checkpoint layout (version 1, documented byte-exact):
 * then, for each tensor in header order: parameter values, first moment,
   second moment, each as C-order float64 little-endian raw bytes.
 
+`save_checkpoint` writes a temporary file beside the target and renames it
+into place, so a failed write leaves any earlier checkpoint untouched.
 Loading reproduces the store bit-exactly. It raises `CheckpointError` for a
 header that is not such JSON, a truncated tensor, or bytes after the last
 tensor.
@@ -16,7 +18,10 @@ tensor.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -95,19 +100,45 @@ class ParamStore:
         return norm
 
     def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-        """Bias-corrected Adam update; zeroes gradients and bumps the step."""
+        """Bias-corrected Adam update; zeroes gradients and bumps the step.
+
+        Computes m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+        value -= (lr m_hat) / (sqrt(v_hat) + eps) in that operation order,
+        in place: the gradient buffer holds (1 - b1) g and then the update,
+        and one scratch array the other temporaries."""
         self.step += 1
         t = self.step
+        c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        scratch = np.empty(max((e.tensor.value.size for e in self.entries.values()), default=0))
         for e in self.entries.values():
             g = e.tensor.grad
-            e.m *= beta1
-            e.m += (1.0 - beta1) * g
+            tmp = scratch[: g.size].reshape(g.shape)
             e.v *= beta2
-            e.v += (1.0 - beta2) * g * g
-            m_hat = e.m / (1.0 - beta1 ** t)
-            v_hat = e.v / (1.0 - beta2 ** t)
-            e.tensor.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.multiply(g, 1.0 - beta2, out=tmp)
+            tmp *= g
+            e.v += tmp
+            e.m *= beta1
+            g *= 1.0 - beta1
+            e.m += g
+            np.divide(e.m, c1, out=g)
+            g *= lr
+            np.divide(e.v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            g /= tmp
+            e.tensor.value -= g
         self.zero_grad()
+
+
+def _preallocate(fh, size: int) -> None:
+    """Reserve the blocks of a file about to be written. On ext4 this spares
+    a rename that replaces an existing file its flush of the new file's
+    delayed allocation (auto_da_alloc), which otherwise doubles the cost of
+    a small checkpoint. Only a hint: where it is missing or refused, the
+    write goes ahead without it."""
+    if hasattr(os, "posix_fallocate"):
+        with contextlib.suppress(OSError):
+            os.posix_fallocate(fh.fileno(), 0, size)
 
 
 def save_checkpoint(path, store: ParamStore, meta: dict | None = None) -> None:
@@ -120,14 +151,23 @@ def save_checkpoint(path, store: ParamStore, meta: dict | None = None) -> None:
         "tensors": [{"name": n, "shape": list(store[n].value.shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for n in names:
-            e = store.entries[n]
-            for arr in (e.tensor.value, e.m, e.v):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            _preallocate(fh, 16 + len(blob) + sum(24 * store[n].value.size for n in names))
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(len(blob).to_bytes(8, "little"))
+            fh.write(blob)
+            for n in names:
+                e = store.entries[n]
+                for arr in (e.tensor.value, e.m, e.v):
+                    fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
+            fh.truncate()  # the file ends where the data does, whatever was preallocated
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:

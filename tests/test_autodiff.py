@@ -128,16 +128,21 @@ def zero_gru(h, d_in):
     )
 
 
+def full(bsz, steps):
+    """The packing of a batch whose every step is real."""
+    return ad.Packing(np.ones((bsz, steps)))
+
+
 def test_gru_zero_weights_zero_state():
     w = zero_gru(4, 3)
-    out, _ = ad.gru_sequence(ad.constant(np.ones((2, 1, 3))), ad.constant(np.zeros((2, 4))), w)
+    out, _ = ad.gru_sequence(ad.constant(np.ones((2, 3))), ad.constant(np.zeros((2, 4))), w, full(2, 1))
     assert np.array_equal(out.value, np.zeros((2, 4)))
 
 
 def test_gru_zero_weights_halves_state():
     w = zero_gru(4, 3)
     v = np.array([[1.0, -2.0, 0.5, 3.0]])
-    out, _ = ad.gru_sequence(ad.constant(np.ones((1, 1, 3))), ad.constant(v), w)
+    out, _ = ad.gru_sequence(ad.constant(np.ones((1, 3))), ad.constant(v), w, full(1, 1))
     assert np.allclose(out.value, 0.5 * v, atol=1e-15)
 
 
@@ -170,7 +175,7 @@ def test_gru_matches_scalar_oracle():
         ad.constant(rng.normal(size=3 * hd)),
     )
     x, h = rng.normal(size=d_in), rng.normal(size=hd)
-    got = ad.gru_sequence(ad.constant(x[None, None]), ad.constant(h[None]), w)[0].value[0]
+    got = ad.gru_sequence(ad.constant(x[None]), ad.constant(h[None]), w, full(1, 1))[0].value[0]
     want = scalar_gru_oracle(x, h, w.w_x.value, w.w_h.value, w.bias.value)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -183,7 +188,8 @@ def test_gru_mask_passes_state_through():
         ad.parameter(rng.normal(size=12)),
     )
     h = rng.normal(size=(2, 4))
-    out, _ = ad.gru_sequence(ad.constant(rng.normal(size=(2, 1, 3))), ad.constant(h), w, mask=np.array([[0.0], [1.0]]))
+    pack = ad.Packing(np.array([[0.0], [1.0]]))
+    out, _ = ad.gru_sequence(ad.constant(pack.gather(rng.normal(size=(2, 1, 3)))), ad.constant(h), w, pack)
     assert np.array_equal(out.value[0], h[0])
     assert not np.array_equal(out.value[1], h[1])
     # masked row contributes no gradient
@@ -208,26 +214,31 @@ def test_gru_sequence_matches_stepwise_oracle_on_ragged_masks():
     d_in, hd = 3, 4
     w = random_gru(rng, d_in, hd)
     x, h0 = rng.normal(size=(4, 4, d_in)), rng.normal(size=(4, hd))
-    last, seq = ad.gru_sequence(ad.constant(x), ad.constant(h0), w, mask=RAGGED)
+    pack = ad.Packing(RAGGED)
+    last, seq = ad.gru_sequence(ad.constant(pack.gather(x)), ad.constant(h0), w, pack)
+    pair = {(i, t): k for k, (i, t) in enumerate(zip(pack.rows, pack.cols))}
+    assert seq.value.shape == (len(pair), hd) == (int(RAGGED.sum()), hd)
     for i in range(4):
         h = h0[i]
         for t in range(4):
             if RAGGED[i, t]:
                 h = scalar_gru_oracle(x[i, t], h, w.w_x.value, w.w_h.value, w.bias.value)
-            assert np.allclose(seq.value[i, t], h, atol=1e-12)
+                assert np.allclose(seq.value[pair[i, t]], h, atol=1e-12)
         assert np.allclose(last.value[i], h, atol=1e-12)
-    assert np.array_equal(seq.value[2], np.repeat(h0[2:3], 4, axis=0))
+    assert np.array_equal(last.value[2], h0[2])
 
 
 def test_gru_sequence_gradient_finite_difference_on_ragged_masks():
     rng = np.random.default_rng(4)
     d_in, hd = 3, 4
     w = random_gru(rng, d_in, hd)
-    x, h0 = ad.parameter(rng.normal(size=(4, 4, d_in))), ad.parameter(rng.normal(size=(4, hd)))
-    c_seq, c_last = rng.normal(size=(4, 4, hd)), rng.normal(size=(4, hd))
+    pack = ad.Packing(RAGGED)
+    x = ad.parameter(pack.gather(rng.normal(size=(4, 4, d_in))))
+    h0 = ad.parameter(rng.normal(size=(4, hd)))
+    c_seq, c_last = pack.gather(rng.normal(size=(4, 4, hd))), rng.normal(size=(4, hd))
 
     def build():
-        last, seq = ad.gru_sequence(x, h0, w, mask=RAGGED)
+        last, seq = ad.gru_sequence(x, h0, w, pack)
         return ad.add(ad.total(ad.cmul(seq, c_seq)), ad.total(ad.cmul(last, c_last)))
 
     backward(build())
@@ -235,17 +246,17 @@ def test_gru_sequence_gradient_finite_difference_on_ragged_masks():
     fds = numeric_grad(lambda: float(build().value), [p.value for p in params])
     for p, fd in zip(params, fds):
         assert rel_err(p.grad, fd) < 1e-6
-    # padded steps take no gradient; the all-padding row hands its gradient straight to h0
-    assert np.array_equal(x.grad[RAGGED == 0], np.zeros((int((RAGGED == 0).sum()), d_in)))
-    assert np.allclose(h0.grad[2], c_seq[2].sum(axis=0) + c_last[2], atol=1e-12)
+    # padded steps have no input rows; the all-padding row hands its gradient straight to h0
+    assert x.grad.shape == (int(RAGGED.sum()), d_in)
+    assert np.array_equal(h0.grad[2], c_last[2])
 
 
 def test_gru_sequence_without_steps_returns_h0():
     w = random_gru(np.random.default_rng(5), 3, 4)
     h0 = ad.parameter(np.ones((2, 4)))
-    last, seq = ad.gru_sequence(ad.constant(np.zeros((2, 0, 3))), h0, w, mask=np.zeros((2, 0)))
+    last, seq = ad.gru_sequence(ad.constant(np.zeros((0, 3))), h0, w, ad.Packing(np.zeros((2, 0))))
     assert last is h0
-    assert seq.value.shape == (2, 0, 4)
+    assert seq.value.shape == (0, 4)
     backward(ad.total(ad.concat_cols([last, ad.smul(last, 2.0)])))
     assert np.array_equal(h0.grad, np.full((2, 4), 3.0))
     assert np.array_equal(w.w_x.grad, np.zeros((12, 3)))
@@ -254,9 +265,9 @@ def test_gru_sequence_without_steps_returns_h0():
 def test_gru_sequence_shape_mismatch_fatal():
     w = zero_gru(4, 3)
     with pytest.raises(GradError):
-        ad.gru_sequence(ad.constant(np.zeros((2, 5, 2))), ad.constant(np.zeros((2, 4))), w)
+        ad.gru_sequence(ad.constant(np.zeros((10, 2))), ad.constant(np.zeros((2, 4))), w, full(2, 5))
     with pytest.raises(GradError):
-        ad.gru_sequence(ad.constant(np.zeros((2, 5, 3))), ad.constant(np.zeros((2, 4))), w, mask=np.ones((2, 4)))
+        ad.gru_sequence(ad.constant(np.zeros((10, 3))), ad.constant(np.zeros((3, 4))), w, full(2, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +410,7 @@ def test_composite_gradient_check(seed):
     target = rng.integers(0, k, size=2)
 
     def build():
-        h, _ = ad.gru_sequence(ad.constant(np.stack(xs, axis=1)), ad.constant(np.zeros((2, hd))), w)
+        h, _ = ad.gru_sequence(ad.constant(np.concatenate(xs)), ad.constant(np.zeros((2, hd))), w, full(2, 3))
         logits = ad.affine(h, head_w, head_b)
         return ad.mean(ad.softmax_xent(logits, target))
 
@@ -462,6 +473,32 @@ def test_adam_three_step_trace_matches_oracle():
     assert np.allclose(got, want, atol=1e-12)
 
 
+def test_adam_in_place_update_is_bit_identical_to_textbook():
+    shapes = {"w": (3, 5), "b": (5,), "e": (7, 2)}
+    store = ParamStore(seed=0)
+    for name, shape in shapes.items():
+        store.add(name, shape)
+    want = {n: (store[n].value.copy(), np.zeros(shape), np.zeros(shape)) for n, shape in shapes.items()}
+    rng = np.random.default_rng(12)
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    for t in range(1, 4):
+        for n, shape in shapes.items():
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-9, 3, size=shape)
+            store[n].grad[...] = g
+            theta, m, v = want[n]
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            want[n] = (theta - lr * m_hat / (np.sqrt(v_hat) + eps), m, v)
+        store.adam_step(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for n in shapes:
+            theta, m, v = want[n]
+            assert np.array_equal(store[n].value, theta)
+            assert np.array_equal(store.entries[n].m, m) and np.array_equal(store.entries[n].v, v)
+            assert not store[n].grad.any()
+
+
 def test_clip_global_norm():
     store = ParamStore(seed=0)
     a = store.add("a", (2,), init="zeros")
@@ -510,3 +547,17 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     # byte-identical re-serialization
     save_checkpoint(tmp_path / "again.ckpt", loaded, meta2)
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
+    store = ParamStore(seed=3)
+    store.add("w", (3, 4))
+    store.add("b", (4,))
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, store, {"epoch": 1})
+    before = path.read_bytes()
+    store.entries["b"].v = np.array(["not a number"] * 4, dtype=object)  # fails after "w" is written
+    with pytest.raises(ValueError):
+        save_checkpoint(path, store, {"epoch": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]

@@ -4,7 +4,9 @@
 real steps: every step computes all B rows, the mask blends the new state
 with the old one, and backpropagation through time runs over the whole
 (B, T) rectangle with masked rows passing their gradient through. Packing
-must give the same states and gradients up to summation order.
+must give the same states and gradients at the real (row, step) pairs up to
+summation order; the packed layout has no padded positions, so the
+reference's output gradient is zero there.
 """
 
 import numpy as np
@@ -85,6 +87,10 @@ CASES = {
 }
 
 
+def packing(bsz, steps, mask):
+    return ad.Packing(np.ones((bsz, steps)) if mask is None else mask)
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_packed_gru_matches_full_rectangle_reference(case):
     bsz, mask = CASES[case]
@@ -95,37 +101,49 @@ def test_packed_gru_matches_full_rectangle_reference(case):
         ad.parameter(rng.normal(size=(3 * hd, hd))),
         ad.parameter(rng.normal(size=3 * hd)),
     )
-    x, h0 = ad.parameter(rng.normal(size=(bsz, steps, d_in))), ad.parameter(rng.normal(size=(bsz, hd)))
+    x_full, h0 = rng.normal(size=(bsz, steps, d_in)), ad.parameter(rng.normal(size=(bsz, hd)))
     g_seq, g_last = rng.normal(size=(bsz, steps, hd)), rng.normal(size=(bsz, hd))
+    pack = packing(bsz, steps, mask)
+    real = np.zeros((bsz, steps), dtype=bool)
+    real[pack.rows, pack.cols] = True
+    g_seq[~real] = 0.0
+    x = ad.parameter(pack.gather(x_full))
 
-    last, seq = ad.gru_sequence(x, h0, w, mask)
-    backward(ad.add(ad.total(ad.cmul(seq, g_seq)), ad.total(ad.cmul(last, g_last))))
-    want_seq, want = reference_gru(x.value, h0.value, w.w_x.value, w.w_h.value, w.bias.value, mask, g_last, g_seq)
+    last, seq = ad.gru_sequence(x, h0, w, pack)
+    backward(ad.add(ad.total(ad.cmul(seq, pack.gather(g_seq))), ad.total(ad.cmul(last, g_last))))
+    want_seq, want = reference_gru(x_full, h0.value, w.w_x.value, w.w_h.value, w.bias.value, mask, g_last, g_seq)
 
-    assert_close(seq.value, want_seq)
+    assert_close(seq.value, pack.gather(want_seq))
     assert_close(last.value, want_seq[:, -1])
-    for name, tensor in (("x", x), ("h0", h0), ("w_x", w.w_x), ("w_h", w.w_h), ("b", w.bias)):
+    assert_close(x.grad, pack.gather(want["x"]))
+    for name, tensor in (("h0", h0), ("w_x", w.w_x), ("w_h", w.w_h), ("b", w.bias)):
         assert_close(tensor.grad, want[name])
-    if mask is not None:
-        assert not x.grad[mask == 0].any()
 
 
 def test_non_binary_mask_rejected():
+    with pytest.raises(ad.GradError):
+        ad.Packing(np.array([[1.0, 0.5, 0.0], [1.0, 1.0, 1.0]]))
+
+
+def test_input_rows_must_match_the_packing():
     rng = np.random.default_rng(0)
     w = GRUWeights(*(ad.parameter(rng.normal(size=s)) for s in ((12, 3), (12, 4), (12,))))
+    pack = ad.Packing(HOLES)  # 13 real pairs
     with pytest.raises(ad.GradError):
-        ad.gru_sequence(ad.constant(np.zeros((2, 3, 3))), ad.constant(np.zeros((2, 4))), w,
-                        mask=np.array([[1.0, 0.5, 0.0], [1.0, 1.0, 1.0]]))
+        ad.gru_sequence(ad.constant(np.zeros((HOLES.size, 3))), ad.constant(np.zeros((4, 4))), w, pack)
+    with pytest.raises(ad.GradError):
+        ad.gru_sequence(ad.constant(np.zeros((pack.size - 1, 3))), ad.constant(np.zeros((4, 4))), w, pack)
 
 
 def test_no_grad_gru_keeps_no_graph_and_same_states():
     rng = np.random.default_rng(7)
     w = GRUWeights(*(ad.parameter(rng.normal(size=s)) for s in ((12, 3), (12, 4), (12,))))
-    x, h0 = ad.parameter(rng.normal(size=(4, 5, 3))), ad.parameter(rng.normal(size=(4, 4)))
-    last, seq = ad.gru_sequence(x, h0, w, HOLES)
+    pack = ad.Packing(HOLES)
+    x, h0 = ad.parameter(pack.gather(rng.normal(size=(4, 5, 3)))), ad.parameter(rng.normal(size=(4, 4)))
+    last, seq = ad.gru_sequence(x, h0, w, pack)
     with ad.no_grad():
-        last_ng, seq_ng = ad.gru_sequence(x, h0, w, HOLES)
+        last_ng, seq_ng = ad.gru_sequence(x, h0, w, pack)
     assert np.array_equal(last.value, last_ng.value) and np.array_equal(seq.value, seq_ng.value)
     for out in (last_ng, seq_ng):
         assert out.parents == () and out._backward is None
-    assert last_ng.value.base is None  # the final state does not pin the (T, B, H) buffer
+    assert last_ng.value.base is None  # the final state does not pin the state buffer

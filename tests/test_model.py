@@ -91,17 +91,32 @@ def np_affine(store, name, x):
 # record embedding
 # ---------------------------------------------------------------------------
 
+ONE = ad.Packing(np.ones((1, 1)))
+
+
 def test_embedding_order_and_length():
     cfg = toy_config()
     store = build_params(cfg, seed=0)
-    e = embed_step(store, cfg, [[0]], [[0]], [[0]], [[0]], [0])
-    assert e.value.shape == (1, 1, cfg.dim_record) == (1, 1, 13)
+    e = embed_step(store, cfg, [[0]], [[0]], [[0]], [[0]], [0], ONE)
+    assert e.value.shape == (1, cfg.dim_record) == (1, 13)
     want = np.concatenate([
         store["emb.loc"].value[0], store["emb.cat"].value[0],
         store["emb.hour"].value[0], store["emb.day"].value[0],
         store["emb.user"].value[0],
     ])
-    assert np.array_equal(e.value[0, 0], want)
+    assert np.array_equal(e.value[0], want)
+
+
+def test_embed_step_packs_real_records_time_major():
+    cfg = toy_config()
+    store = build_params(cfg, seed=0)
+    loc, hour = np.array([[0, 2, 1], [1, 0, 0]]), np.array([[3, 4, 5], [6, 0, 0]])
+    pack = ad.Packing(np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]))
+    e = embed_step(store, cfg, loc, loc % 2, hour, hour % 7, [0, 1], pack)
+    # (row, step) pairs in time-major order: (0, 0), (1, 0), (0, 1), (0, 2)
+    want = [np_embed(store, cfg, (loc[i, t], loc[i, t] % 2, hour[i, t], hour[i, t] % 7), i)
+            for i, t in ((0, 0), (1, 0), (0, 1), (0, 2))]
+    assert np.array_equal(e.value, np.stack(want))
 
 
 def test_default_dims_give_350():
@@ -112,8 +127,8 @@ def test_default_dims_give_350():
 def test_hour_change_touches_only_hour_slice():
     cfg = toy_config()
     store = build_params(cfg, seed=0)
-    a = embed_step(store, cfg, [[1]], [[1]], [[3]], [[2]], [0]).value[0, 0]
-    b = embed_step(store, cfg, [[1]], [[1]], [[7]], [[2]], [0]).value[0, 0]
+    a = embed_step(store, cfg, [[1]], [[1]], [[3]], [[2]], [0], ONE).value[0]
+    b = embed_step(store, cfg, [[1]], [[1]], [[7]], [[2]], [0], ONE).value[0]
     lo = cfg.d_loc + cfg.d_cat
     hi = lo + cfg.d_hour
     diff = a != b
@@ -125,8 +140,8 @@ def test_category_less_dataset_uses_shared_row():
     cfg = toy_config(variant="cslsl_c", has_categories=False)
     store = build_params(cfg, seed=0)
     assert store["emb.cat"].value.shape == (1, cfg.d_cat)
-    a = embed_step(store, cfg, [[1]], [[0]], [[3]], [[2]], [0]).value
-    b = embed_step(store, cfg, [[1]], [[5]], [[3]], [[2]], [0]).value  # stray index ignored
+    a = embed_step(store, cfg, [[1]], [[0]], [[3]], [[2]], [0], ONE).value
+    b = embed_step(store, cfg, [[1]], [[5]], [[3]], [[2]], [0], ONE).value  # stray index ignored
     assert np.array_equal(a, b)
 
 
@@ -143,15 +158,18 @@ def zero_gru_pair(cfg):
             GRUWeights(z((3 * h, d)), z((3 * h, h)), z(3 * h)))
 
 
+NO_STEPS = ad.Packing(np.zeros((1, 0)))
+
+
 def no_steps(cfg):
-    return ad.constant(np.zeros((1, 0, cfg.dim_record)))
+    return ad.constant(np.zeros((0, cfg.dim_record)))
 
 
 def test_lsc_zero_everything():
     cfg = toy_config()
     wl, ws = zero_gru_pair(cfg)
-    x = ad.constant(np.zeros((1, 1, cfg.dim_record)))
-    out, _, _ = lsc_forward(wl, ws, no_steps(cfg), x, ad.constant(np.zeros((1, cfg.hidden))))
+    x = ad.constant(np.zeros((1, cfg.dim_record)))
+    out, _, _ = lsc_forward(wl, ws, no_steps(cfg), x, ad.constant(np.zeros((1, cfg.hidden))), NO_STEPS, ONE)
     assert np.array_equal(out.value, np.zeros((1, cfg.hidden)))
 
 
@@ -159,7 +177,8 @@ def test_lsc_zero_weights_halves_h0():
     cfg = toy_config()
     wl, ws = zero_gru_pair(cfg)
     v = np.arange(1.0, cfg.hidden + 1)[None]
-    out, _, _ = lsc_forward(wl, ws, no_steps(cfg), ad.constant(np.zeros((1, 1, cfg.dim_record))), ad.constant(v))
+    out, _, _ = lsc_forward(wl, ws, no_steps(cfg), ad.constant(np.zeros((1, cfg.dim_record))), ad.constant(v),
+                            NO_STEPS, ONE)
     assert np.allclose(out.value, 0.5 * v, atol=1e-15)
 
 
@@ -167,7 +186,7 @@ def test_lsc_empty_prefix_fatal():
     cfg = toy_config()
     wl, ws = zero_gru_pair(cfg)
     with pytest.raises(ValueError):
-        lsc_forward(wl, ws, no_steps(cfg), no_steps(cfg), ad.constant(np.zeros((1, cfg.hidden))))
+        lsc_forward(wl, ws, no_steps(cfg), no_steps(cfg), ad.constant(np.zeros((1, cfg.hidden))), NO_STEPS, NO_STEPS)
 
 
 def test_lsc_matches_manual_four_step_unroll():
@@ -179,9 +198,11 @@ def test_lsc_matches_manual_four_step_unroll():
     got, _, _ = lsc_forward(
         gru_weights(store, "gru.time.long"),
         gru_weights(store, "gru.time.short"),
-        ad.constant(np.stack(steps[:2], axis=1)),
-        ad.constant(np.stack(steps[2:], axis=1)),
+        ad.constant(np.concatenate(steps[:2])),
+        ad.constant(np.concatenate(steps[2:])),
         ad.constant(h0),
+        ad.Packing(np.ones((1, 2))),
+        ad.Packing(np.ones((1, 2))),
     )
     h = h0
     for s in steps[:2]:
@@ -453,3 +474,46 @@ def test_parameter_order_and_active_heads(variant, has_categories):
               if out is not None}
     assert active == heads
 
+
+
+# ---------------------------------------------------------------------------
+# tape size
+# ---------------------------------------------------------------------------
+
+def tape_bytes(loss) -> int:
+    """Bytes of the values of every operation node reachable from `loss`."""
+    seen, stack, total = {id(loss)}, [loss], 0
+    while stack:
+        node = stack.pop()
+        if node._backward is not None:
+            total += node.value.nbytes
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return total
+
+
+@pytest.mark.parametrize("variant", ["cslsl", "hlsl"])
+def test_tape_grows_with_real_steps_not_padding(variant):
+    cfg = toy_config(variant=variant, hidden=16)
+    store = build_params(cfg, seed=0)
+    bsz, th = 8, 200
+    hist_mask = np.zeros((bsz, th))
+    hist_mask[0] = 1.0  # one 200-step history, seven 1-step ones
+    hist_mask[1:, 0] = 1.0
+    hist = np.ones((bsz, th), dtype=np.intp)
+    pref = np.ones((bsz, 1), dtype=np.intp)
+    batch = Batch(
+        user=np.arange(bsz) % 2,
+        hist_loc=hist, hist_cat=hist, hist_hour=hist, hist_day=hist, hist_mask=hist_mask,
+        pref_loc=pref, pref_cat=pref, pref_hour=pref, pref_day=pref, pref_mask=np.ones((bsz, 1)),
+        target_t=np.full(bsz, 0.5), target_cat=np.ones(bsz, dtype=np.intp), target_loc=np.ones(bsz, dtype=np.intp),
+    )
+    loss = ad.total(forward(store, cfg, batch).loc_logits)
+    real = int(hist_mask.sum()) + bsz
+    # per real pair: the five lookups and their concat, and per branch a packed
+    # state and a hierarchical input; per row: final states, heads, converters
+    per_pair = 4 * cfg.dim_record + 6 * cfg.hidden
+    per_row = 8 * cfg.hidden + 8 * (cfg.n_locs + cfg.n_cats + 1)
+    assert tape_bytes(loss) <= 8 * (real * per_pair + bsz * per_row) < 8 * bsz * th * (2 * cfg.dim_record + 3 * cfg.hidden)
