@@ -1,10 +1,16 @@
 """Reverse-mode differentiation over numpy arrays, one graph node per layer.
 
 A `Tensor` holds a float64 value, the tensors it was computed from
-(`parents`) and a closure (`_backward`) that adds its gradient into theirs.
-`backward` replays the closures in reverse topological order and
-accumulates into leaf `.grad` buffers, so repeated calls without
-`zero_grad` add up.
+(`parents`) and a closure (`_backward`) that maps the gradient `g` of its
+value to one contribution per parent: an array of that parent's shape, or
+None for no contribution. `backward` replays the closures in reverse
+topological order and is the only place where gradients are summed. A
+parameter's contributions are added straight into its `.grad`, so repeated
+calls without `zero_grad` add up; an interior node's are summed into a new
+array before its own closure runs; a constant's are dropped. A contribution
+whose shape differs from its parent's raises `GradError`. A closure may
+return views of `g`, or one array for two parents, so neither `g` nor a
+returned contribution is ever modified in place.
 
 Inside a `no_grad()` block no graph is recorded: an operation's output has
 no parents and no backward closure, so inference keeps none of the buffers
@@ -99,29 +105,29 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad."""
+    """Add d(loss)/d(parameter) into every reachable parameter's .grad."""
     if loss.value.size != 1:
         raise GradError(f"backward requires a scalar, got shape {loss.shape}")
     if loss._backward is None and not loss.requires_grad:
         raise GradError("backward needs a recorded graph; this value was computed under no_grad or from constants")
-    order = _topo_order(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
+    grads: dict[int, np.ndarray] = {}
 
-    def getbuf(node: Tensor) -> np.ndarray:
-        buf = grads.get(id(node))
-        if buf is None:
-            buf = np.zeros_like(node.value)
-            grads[id(node)] = buf
-        return buf
+    def receive(node: Tensor, c: np.ndarray) -> None:
+        if c.shape != node.value.shape:
+            raise GradError(f"gradient of shape {c.shape} for a value of shape {node.shape}")
+        if node.requires_grad:
+            node.grad += c
+        elif node._backward is not None:
+            prior = grads.get(id(node))
+            grads[id(node)] = c if prior is None else prior + c  # never in place: c may be shared
 
-    for node in reversed(order):
+    receive(loss, np.ones_like(loss.value))
+    for node in reversed(_topo_order(loss)):
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is not None:
-            node._backward(g, getbuf)
-        elif node.requires_grad:
-            node.grad += g
+        if g is not None:
+            for parent, c in zip(node.parents, node._backward(g), strict=True):
+                if c is not None:
+                    receive(parent, c)
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +140,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             or b.value.shape != w.value.shape[:1]):
         raise GradError(f"affine shape mismatch: {x.shape} x {w.shape} + {b.shape}")
 
-    def bw(g, getbuf):
-        bx, bw_, bb = getbuf(x), getbuf(w), getbuf(b)
-        bx += g @ w.value
-        bw_ += g.T @ x.value
-        bb += g.sum(axis=0)
+    def bw(g):
+        return g @ w.value, g.T @ x.value, g.sum(axis=0)
 
     return Tensor(x.value @ w.value.T + b.value, parents=(x, w, b), backward=bw)
 
@@ -147,10 +150,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise GradError(f"shape mismatch: {a.shape} vs {b.shape}")
 
-    def bw(g, getbuf):
-        ba, bb = getbuf(a), getbuf(b)
-        ba += g
-        bb += g
+    def bw(g):
+        return g, g
 
     return Tensor(a.value + b.value, parents=(a, b), backward=bw)
 
@@ -162,17 +163,15 @@ def cmul(x: Tensor, c) -> Tensor:
     if value.shape != x.value.shape:
         raise GradError(f"cmul constant {c.shape} expands {x.shape}")
 
-    def bw(g, getbuf):
-        bx = getbuf(x)
-        bx += g * c
+    def bw(g):
+        return (g * c,)
 
     return Tensor(value, parents=(x,), backward=bw)
 
 
 def smul(x: Tensor, k: float) -> Tensor:
-    def bw(g, getbuf):
-        bx = getbuf(x)
-        bx += g * k
+    def bw(g):
+        return (g * k,)
 
     return Tensor(x.value * k, parents=(x,), backward=bw)
 
@@ -181,10 +180,8 @@ def concat_cols(xs: list[Tensor]) -> Tensor:
     """Concatenate along the last axis; the leading shapes must agree."""
     offsets = np.cumsum([0] + [x.value.shape[-1] for x in xs])
 
-    def bw(g, getbuf):
-        for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-            bx = getbuf(x)
-            bx += g[..., lo:hi]
+    def bw(g):
+        return tuple(g[..., lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
 
     return Tensor(np.concatenate([x.value for x in xs], axis=-1), parents=tuple(xs), backward=bw)
 
@@ -196,8 +193,10 @@ def embedding(table: Tensor, idx) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.value.shape[0]):
         raise GradError(f"embedding index out of range for table {table.shape}")
 
-    def bw(g, getbuf):
-        np.add.at(getbuf(table), idx, g)
+    def bw(g):
+        dt = np.zeros_like(table.value)
+        np.add.at(dt, idx, g)
+        return (dt,)
 
     return Tensor(table.value[idx], parents=(table,), backward=bw)
 
@@ -209,29 +208,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_xent(logits: Tensor, targets, weights=None) -> Tensor:
-    """Per-row weighted cross-entropy, -w_i * log softmax(logits_i)[t_i].
+def softmax_xent(logits: Tensor, targets) -> Tensor:
+    """Per-row cross-entropy, -log softmax(logits_i)[t_i].
 
-    `targets` (B,) and `weights` (B,) are constants; max-subtraction keeps the
-    log-sum-exp stable. Returns a (B,) loss vector.
+    `targets` (B,) are constants; max-subtraction keeps the log-sum-exp
+    stable. Returns a (B,) loss vector; `cmul` weights its rows.
     """
     targets = np.asarray(targets, dtype=np.intp)
     n, k = logits.value.shape
     if targets.shape != (n,) or (targets.size and (targets.min() < 0 or targets.max() >= k)):
         raise GradError("softmax_xent target out of range")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    if (w < 0).any():
-        raise GradError("softmax_xent weights must be non-negative")
     m = logits.value.max(axis=1)
     lse = m + np.log(np.exp(logits.value - m[:, None]).sum(axis=1))
 
-    def bw(g, getbuf):
+    def bw(g):
         p = softmax(logits.value)
         p[np.arange(n), targets] -= 1.0
-        bl = getbuf(logits)
-        bl += (g * w)[:, None] * p
+        p *= g[:, None]
+        return (p,)
 
-    return Tensor(w * (lse - logits.value[np.arange(n), targets]), parents=(logits,), backward=bw)
+    return Tensor(lse - logits.value[np.arange(n), targets], parents=(logits,), backward=bw)
 
 
 def circular_abs(pred: Tensor, targets) -> Tensor:
@@ -244,9 +240,8 @@ def circular_abs(pred: Tensor, targets) -> Tensor:
     delta = pred.value.reshape(-1) - t
     wrapped = delta - np.round(delta)
 
-    def bw(g, getbuf):
-        bp = getbuf(pred)
-        bp += (g * np.sign(wrapped)).reshape(pred.value.shape)
+    def bw(g):
+        return ((g * np.sign(wrapped)).reshape(pred.value.shape),)
 
     return Tensor(np.abs(wrapped), parents=(pred,), backward=bw)
 
@@ -254,17 +249,15 @@ def circular_abs(pred: Tensor, targets) -> Tensor:
 def mean(x: Tensor) -> Tensor:
     inv = 1.0 / x.value.size
 
-    def bw(g, getbuf):
-        bx = getbuf(x)
-        bx += g * inv
+    def bw(g):
+        return (np.broadcast_to(g * inv, x.value.shape),)
 
     return Tensor(x.value.mean(), parents=(x,), backward=bw)
 
 
 def total(x: Tensor) -> Tensor:
-    def bw(g, getbuf):
-        bx = getbuf(x)
-        bx += g
+    def bw(g):
+        return (np.broadcast_to(g, x.value.shape),)
 
     return Tensor(x.value.sum(), parents=(x,), backward=bw)
 
@@ -401,7 +394,7 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
         zh = np.multiply(z, h, out=tmp[: hi - lo])
         h_new += zh
 
-    def bw_seq(g, getbuf):
+    def bw_seq(g):
         dh = np.zeros((bsz + n_pairs, hd))  # d(loss)/d(state), h0 rows first
         dh[bsz:] = g
         dgh = np.empty((3, n_pairs, hd))    # d(loss)/d(U h) per gate
@@ -436,24 +429,22 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
             s += u[1]
             s += u[2]
             dh[prev[lo:hi]] += s           # a step's rows are distinct
-        bx, bh0, bwx, bwh, bb = getbuf(x), getbuf(h0), getbuf(w.w_x), getbuf(w.w_h), getbuf(w.bias)
-        bh0 += dh[:bsz]
-        bwx, bb = bwx.reshape(3, hd, d_in), bb.reshape(3, hd)
-        for k, dgx in enumerate((dgh[0], dgh[1], dn_x)):
-            bx += dgx @ wx[k]
-            bwx[k] += dgx.T @ x.value
-            bb[k] += dgx.sum(axis=0)
-        bwh = bwh.reshape(3, hd, hd)
-        bwh += np.matmul(dgh.transpose(0, 2, 1), h_prev)
+        dgx = (dgh[0], dgh[1], dn_x)          # d(loss)/d(W x) per gate
+        return (
+            dgx[0] @ wx[0] + dgx[1] @ wx[1] + dgx[2] @ wx[2],
+            dh[:bsz],
+            np.concatenate([d.T @ x.value for d in dgx]),
+            np.matmul(dgh.transpose(0, 2, 1), h_prev).reshape(3 * hd, hd),
+            np.concatenate([d.sum(axis=0) for d in dgx]),
+        )
 
     seq = Tensor(hs[bsz:], parents=(x, h0, w.w_x, w.w_h, w.bias), backward=bw_seq)
     last = pack.last
     ended = last >= bsz  # rows with real pairs; the others end in h0
 
-    def bw_last(g, getbuf):
-        getbuf(seq)[last[ended] - bsz] += g[ended]
-        if not ended.all():
-            bh0 = getbuf(h0)
-            bh0[~ended] += g[~ended]
+    def bw_last(g):
+        dseq = np.zeros_like(seq.value)
+        dseq[last[ended] - bsz] = g[ended]
+        return dseq, None if ended.all() else np.where(ended[:, None], 0.0, g)
 
     return Tensor(hs[last], parents=(seq, h0), backward=bw_last), seq

@@ -28,8 +28,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluate as ev
 from . import ingest, preprocess
 from .config import ConfigFileError, RunConfig, config_hash, parse_config
@@ -140,10 +138,8 @@ def cmd_train(cfg: RunConfig, resume: str | None) -> None:
         initial, meta = _load_matching_checkpoint(cfg, resume, mc)
         start_epoch = int(meta.get("epoch", -1)) + 1
     out = _out(cfg)
-    rows = []
 
     def log(row):
-        rows.append(row)
         r = row.recall
         print(
             f"epoch {row.epoch}: L_l={row.losses.loc:.4f} L_t={row.losses.time:.4f} "
@@ -160,15 +156,15 @@ def cmd_train(cfg: RunConfig, resume: str | None) -> None:
         "best_recall_at_1": result.best_recall,
     }
     save_checkpoint(out / "best.ckpt", result.store, meta)
-    with open(out / "epochs.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"#{_header(cfg)}\n")
-        fh.write("epoch,L_l,L_t,L_c,L_s,recall_at_1,recall_at_5,recall_at_10\n")
-        for row in rows:
-            L = row.losses
-            fh.write(
-                f"{row.epoch},{L.loc!r},{L.time!r},{L.cat!r},{L.spatial!r},"
-                f"{row.recall[1]!r},{row.recall[5]!r},{row.recall[10]!r}\n"
-            )
+    _write_csv(
+        out / "epochs.csv", _header(cfg),
+        ["epoch", "L_l", "L_t", "L_c", "L_s", "recall_at_1", "recall_at_5", "recall_at_10"],
+        [
+            (row.epoch, row.losses.loc, row.losses.time, row.losses.cat, row.losses.spatial,
+             row.recall[1], row.recall[5], row.recall[10])
+            for row in result.history
+        ],
+    )
     print(f"best epoch {result.best_epoch}: location recall@1 = {result.best_recall:.4f}")
 
 
@@ -190,7 +186,7 @@ def _write_csv(path, header: str, columns: list[str], rows) -> None:
         fh.write(f"#{header}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def cmd_analyze(cfg: RunConfig, checkpoint: str) -> None:
@@ -206,8 +202,7 @@ def cmd_analyze(cfg: RunConfig, checkpoint: str) -> None:
         joint = ev.joint_causal_analysis(preds)
         _write_csv(out / "joint_matrix.csv", header, ["outcome", "fraction"], sorted(joint.items()))
 
-    edges = np.concatenate([[0.0], np.geomspace(0.1, 100.0, 31)])
-    hist = ev.pred_target_distance_hist(preds, vocab, edges)
+    hist = ev.pred_target_distance_hist(preds, vocab, ev.displacement_edges())
     _write_csv(
         out / "distance_hist.csv", header, ["lo_km", "hi_km", "count"],
         [(float(hist.edges[i]), float(hist.edges[i + 1]), int(hist.counts[i])) for i in range(len(hist.counts))],

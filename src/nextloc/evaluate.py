@@ -118,11 +118,10 @@ def joint_causal_analysis(preds: Predictions) -> dict[str, float]:
 class Histogram:
     edges: np.ndarray     # strictly increasing, len(counts) + 1
     counts: np.ndarray
-    normalized: bool = False
 
     def normalize(self) -> "Histogram":
         total = self.counts.sum()
-        return Histogram(self.edges, self.counts / total if total else self.counts, True)
+        return Histogram(self.edges, self.counts / total if total else self.counts)
 
 
 def bin_values(values, edges) -> np.ndarray:

@@ -42,9 +42,6 @@ class LossBreakdown:
     spatial: float
     total: float
 
-    def as_row(self) -> dict[str, float]:
-        return {"L_l": self.loc, "L_t": self.time, "L_c": self.cat, "L_s": self.spatial, "L_total": self.total}
-
 
 def spatial_coefficients(loc_logits: np.ndarray, target_loc: np.ndarray, loc_coord) -> np.ndarray:
     """Distance (km) from each row's argmax-predicted location to its true

@@ -12,8 +12,8 @@ Checkpoint layout (version 1, documented byte-exact):
 `save_checkpoint` writes a temporary file beside the target and renames it
 into place, so a failed write leaves any earlier checkpoint untouched.
 Loading reproduces the store bit-exactly. It raises `CheckpointError` for a
-header that is not such JSON, a truncated tensor, or bytes after the last
-tensor.
+header that is not such JSON, a negative tensor dimension, a truncated
+tensor, or bytes after the last tensor.
 """
 
 from __future__ import annotations
@@ -185,6 +185,9 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
             raise CheckpointError(f"{path}: unreadable header: {type(e).__name__}: {e}") from None
         if version != 1:
             raise CheckpointError(f"{path}: unsupported version {version}")
+        for name, shape in specs:
+            if any(d < 0 for d in shape):
+                raise CheckpointError(f"{path}: tensor {name} has negative dimensions {list(shape)}")
         store = ParamStore(seed=seed)
         store.step = step
         for name, shape in specs:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from nextloc import autodiff as ad
 from nextloc.autodiff import GradError, GRUWeights, backward
-from nextloc.params import ParamStore, load_checkpoint, save_checkpoint
+from nextloc.params import CHECKPOINT_MAGIC, CheckpointError, ParamStore, load_checkpoint, save_checkpoint
 
 
 def numeric_grad(f, arrays, eps=1e-4):
@@ -82,6 +83,24 @@ def test_repeated_backward_accumulates():
     backward(out)
     backward(out)
     assert x.grad[0, 0] == 6.0
+
+
+def test_shared_contribution_is_not_summed_in_place():
+    # add hands one array to both parents: summing a's two contributions
+    # into it in place would change b's too
+    p = ad.parameter(np.array([1.0]))
+    a, b = ad.smul(p, 2.0), ad.smul(p, 3.0)
+    z = ad.add(a, b)
+    backward(ad.total(ad.add(z, a)))
+    assert p.grad[0] == 7.0
+
+
+def test_contribution_of_wrong_shape_raises():
+    p = ad.parameter(np.zeros(3))
+    out = ad.Tensor(np.array(0.0), parents=(p,), backward=lambda g: (np.ones(1),))
+    with pytest.raises(GradError):
+        backward(out)
+    assert not p.grad.any()
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +289,18 @@ def test_gru_sequence_shape_mismatch_fatal():
         ad.gru_sequence(ad.constant(np.zeros((10, 3))), ad.constant(np.zeros((3, 4))), w, full(2, 5))
 
 
+def test_constant_h0_takes_no_gradient():
+    rng = np.random.default_rng(6)
+    w = random_gru(rng, 3, 4)
+    pack = ad.Packing(RAGGED)
+    x, h0 = ad.parameter(pack.gather(rng.normal(size=(4, 4, 3)))), ad.constant(np.zeros((4, 4)))
+    last, seq = ad.gru_sequence(x, h0, w, pack)
+    backward(ad.add(ad.total(last), ad.total(seq)))
+    assert h0.grad is None
+    for p in (x, w.w_x, w.w_h, w.bias):
+        assert p.grad.any()
+
+
 # ---------------------------------------------------------------------------
 # embedding
 # ---------------------------------------------------------------------------
@@ -320,13 +351,13 @@ def test_repeated_lookup_doubles_gradient():
 
 def test_uniform_logits_loss_is_log_k():
     for k in (2, 5, 17):
-        loss = ad.softmax_xent(ad.constant(np.zeros((1, k))), [0], weights=[3.0])
+        loss = ad.cmul(ad.softmax_xent(ad.constant(np.zeros((1, k))), [0]), [3.0])
         assert float(loss.value[0]) == pytest.approx(3.0 * math.log(k), abs=1e-12)
 
 
 def test_zero_weight_zero_loss_and_grad():
     logits = ad.parameter(np.random.default_rng(4).normal(size=(1, 5)))
-    loss = ad.total(ad.softmax_xent(logits, [2], weights=[0.0]))
+    loss = ad.total(ad.cmul(ad.softmax_xent(logits, [2]), [0.0]))
     assert float(loss.value) == 0.0
     backward(loss)
     assert np.array_equal(logits.grad, np.zeros((1, 5)))
@@ -360,9 +391,9 @@ def test_xent_gradient_finite_difference():
     w = np.array([1.0, 0.5, 2.0])
 
     def value():
-        return float(ad.mean(ad.softmax_xent(logits, [0, 3, 1], weights=w)).value)
+        return float(ad.mean(ad.cmul(ad.softmax_xent(logits, [0, 3, 1]), w)).value)
 
-    backward(ad.mean(ad.softmax_xent(logits, [0, 3, 1], weights=w)))
+    backward(ad.mean(ad.cmul(ad.softmax_xent(logits, [0, 3, 1]), w)))
     (fd,) = numeric_grad(value, [logits.value])
     assert rel_err(logits.grad, fd) < 1e-6
 
@@ -561,3 +592,19 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
         save_checkpoint(path, store, {"epoch": 2})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+
+def checkpoint_with_shape(shape) -> bytes:
+    """A version-1 checkpoint of one tensor whose header claims `shape`,
+    followed by enough bytes for three six-value arrays."""
+    header = {"version": 1, "step": 0, "seed": 0, "meta": {}, "tensors": [{"name": "w", "shape": shape}]}
+    blob = json.dumps(header).encode("utf-8")
+    return CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob + bytes(3 * 6 * 8)
+
+
+@pytest.mark.parametrize("shape", [[-2, -3], [-1, 2], [0, -1]])
+def test_checkpoint_with_negative_dimension_rejected(tmp_path, shape):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(checkpoint_with_shape(shape))
+    with pytest.raises(CheckpointError, match="negative dimensions"):
+        load_checkpoint(path)

@@ -1,9 +1,11 @@
 import json
+import math
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from test_autodiff import checkpoint_with_shape
 
 from nextloc.cli import main
 
@@ -195,6 +197,8 @@ def test_train_writes_checkpoint_and_log(trained):
     assert lines[0].startswith("#config_hash=")
     assert lines[1] == "epoch,L_l,L_t,L_c,L_s,recall_at_1,recall_at_5,recall_at_10"
     assert len(lines) == 2 + 2  # two epochs
+    for line in lines[2:]:
+        assert all(math.isfinite(float(field)) for field in line.split(","))
 
 
 def test_evaluate_deterministic_bytes(trained, capsys):
@@ -374,6 +378,17 @@ def test_evaluate_rejects_trailing_checkpoint_bytes(trained, capsys):
     rc = main(["evaluate", "--config", str(cfg), "--checkpoint", str(padded)])
     assert rc == 1
     assert "trailing bytes" in single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("shape", [[-2, -3], [-1, 2], [0, -1]])
+def test_evaluate_rejects_negative_checkpoint_dimensions(trained, capsys, shape):
+    tmp_path, cfg = trained
+    bad = tmp_path / "negative.ckpt"
+    bad.write_bytes(checkpoint_with_shape(shape))
+    rc = main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)])
+    assert rc == 1
+    line = single_error_line(capsys.readouterr().err)
+    assert line.startswith("nextloc-error: pipeline:") and "negative dimensions" in line
 
 
 @pytest.mark.parametrize("seeds", ["1,x", "", "1,-1"])
