@@ -6,7 +6,8 @@ file values. All keys and defaults:
 
 dataset_path          (no default; path to the raw check-in file)
 dataset_format        foursquare | gowalla
-gowalla_tz_offset_minutes  0      (fixed local-time offset for gowalla input)
+gowalla_tz_offset_minutes  0      (fixed local-time offset for gowalla input,
+                                   within +-1440)
 reference_counts      ""          (optional "users,locs,records" expected after
                                    filtering+merging; reported, never asserted)
 min_count             10          (per-user and per-location record minimum)
@@ -37,6 +38,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .ingest import MAX_TZ_OFFSET_MINUTES
 from .model import VARIANTS
 
 
@@ -145,6 +147,10 @@ def validation_problems(cfg: RunConfig) -> list[str]:
         problems.append("patience: must be >= 0")
     if cfg.seed < 0:
         problems.append("seed: must be >= 0")
+    if not -MAX_TZ_OFFSET_MINUTES <= cfg.gowalla_tz_offset_minutes <= MAX_TZ_OFFSET_MINUTES:
+        problems.append(
+            f"gowalla_tz_offset_minutes: must be within [-{MAX_TZ_OFFSET_MINUTES}, {MAX_TZ_OFFSET_MINUTES}]"
+        )
     if cfg.reference_counts:
         try:
             triple = cfg.reference_counts.split(",")

@@ -6,17 +6,23 @@ location and user passes until a fixpoint so the result does not depend on
 which side is pruned first. All calendar features (hour of day, day of week,
 normalized time of week) are computed in each record's local time,
 ``utc_seconds + 60 * tz_offset_minutes``.
+
+Every stage runs on the record set's integer codes and numpy columns
+(`ingest.Columns`): a stage picks the rows it keeps, and records become
+`SessRecord`s only in the sessions that survive. The loader likewise reads
+the processed file's columns first and computes their calendar fields in
+one pass.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from typing import NamedTuple
 
-from .ingest import RawRecord, RecordSet
+import numpy as np
+
+from .ingest import RecordSet, check_local_time, dense_category_codes, gc_paused
 
 
 class PreprocessError(Exception):
@@ -76,11 +82,13 @@ class Vocab:
         return len(self.cat_name)
 
 
-def local_fields(utc_seconds: int, tz_offset_minutes: int) -> tuple[int, int, float]:
-    """(hour, day_of_week, time_of_week_norm) of a record's local time."""
+def local_fields(utc_seconds, tz_offset_minutes):
+    """(hour, day_of_week, time_of_week_norm) of a record's local time.
+
+    Takes ints or int64 arrays (element-wise, with the same floating-point
+    operations, so both give bit-identical results)."""
     local = utc_seconds + 60 * tz_offset_minutes
-    day = local // 86400
-    rem = local - day * 86400
+    day, rem = divmod(local, 86400)
     hour, rem = divmod(rem, 3600)
     minute, second = divmod(rem, 60)
     dow = (day + 3) % 7  # 1970-01-01 was a Thursday; Monday=0
@@ -88,25 +96,28 @@ def local_fields(utc_seconds: int, tz_offset_minutes: int) -> tuple[int, int, fl
     return hour, dow, tow
 
 
-def local_week_id(utc_seconds: int, tz_offset_minutes: int) -> int:
-    local = utc_seconds + 60 * tz_offset_minutes
-    iso = datetime.fromtimestamp(local, tz=timezone.utc).isocalendar()
-    return iso[0] * 100 + iso[1]
-
-
-def local_day(utc_seconds: int, tz_offset_minutes: int) -> int:
+def local_day(utc_seconds, tz_offset_minutes):
     return (utc_seconds + 60 * tz_offset_minutes) // 86400
 
 
-def _subset(rs: RecordSet, records: list[RawRecord]) -> RecordSet:
-    keys = {r.location_key for r in records}
-    return RecordSet(
-        records=records,
-        source_tag=rs.source_tag,
-        locations={k: v for k, v in rs.locations.items() if k in keys},
-        rejects=rs.rejects,
-        location_conflicts=rs.location_conflicts,
-    )
+def local_week_id(utc_seconds: np.ndarray, tz_offset_minutes: np.ndarray) -> np.ndarray:
+    """iso_year * 100 + iso_week of each local time. An ISO week belongs to
+    the year of its Thursday and is numbered from that year's first one."""
+    day = local_day(utc_seconds, tz_offset_minutes)
+    thursday = day - (day + 3) % 7 + 3
+    year = thursday.astype("datetime64[D]").astype("datetime64[Y]")
+    week = (thursday - year.astype("datetime64[D]").astype(np.int64)) // 7 + 1
+    return (year.astype(np.int64) + 1970) * 100 + week
+
+
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Per row: whether it starts a run, i.e. is the first row or differs
+    from the previous row in one of the columns."""
+    starts = np.zeros(len(columns[0]), dtype=bool)
+    starts[:1] = True
+    for c in columns:
+        starts[1:] |= c[1:] != c[:-1]
+    return starts
 
 
 def filter_sparse(rs: RecordSet, min_count: int = 10) -> RecordSet:
@@ -114,31 +125,27 @@ def filter_sparse(rs: RecordSet, min_count: int = 10) -> RecordSet:
     until both constraints hold simultaneously."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    records = rs.records
+    cols = rs.columns
+    rows = np.arange(len(cols))
     while True:
-        loc_counts = Counter(r.location_key for r in records)
-        kept = [r for r in records if loc_counts[r.location_key] >= min_count]
-        user_counts = Counter(r.user_key for r in kept)
-        kept = [r for r in kept if user_counts[r.user_key] >= min_count]
-        if len(kept) == len(records):
+        loc = cols.loc[rows]
+        kept = rows[np.bincount(loc)[loc] >= min_count]
+        user = cols.user[kept]
+        kept = kept[np.bincount(user)[user] >= min_count]
+        if len(kept) == len(rows):
             break
-        records = kept
-    if not records:
+        rows = kept
+    if not len(rows):
         raise PreprocessError("dataset fully filtered")
-    return _subset(rs, records)
+    return rs.subset(rows)
 
 
 def merge_consecutive(rs: RecordSet) -> RecordSet:
     """Collapse runs of consecutive records with the same user, location, and
     local calendar day into the run's earliest record."""
-    merged: list[RawRecord] = []
-    prev_key = None
-    for r in rs.records:
-        key = (r.user_key, r.location_key, local_day(r.utc_seconds, r.tz_offset_minutes))
-        if key != prev_key:
-            merged.append(r)
-            prev_key = key
-    return _subset(rs, merged)
+    cols = rs.columns
+    day = local_day(cols.utc, cols.tz)
+    return rs.subset(np.flatnonzero(_run_starts(cols.user, cols.loc, day)))
 
 
 def filter_and_merge(rs: RecordSet, min_count: int = 10) -> RecordSet:
@@ -147,11 +154,13 @@ def filter_and_merge(rs: RecordSet, min_count: int = 10) -> RecordSet:
     Merging can push a user or location back under the threshold, and
     filtering can make previously separated records adjacent; iterating makes
     the stage idempotent. On typical data the first pass is already stable.
+    Each pass keeps a subsequence of the records, so an unchanged count
+    means an unchanged record list.
     """
     current = rs
     while True:
         out = merge_consecutive(filter_sparse(current, min_count))
-        if out.records == current.records:
+        if len(out.columns) == len(current.columns):
             return out
         current = out
 
@@ -164,63 +173,54 @@ def build_sessions(
     """Partition each user's records into local-time ISO weeks, enforce the
     per-session and per-user minimums, and build the vocabulary over the
     surviving data only."""
-    from .ingest import category_ids
-
-    per_user: dict[str, dict[int, list[RawRecord]]] = {}
-    for r in rs.records:  # records are (user, time)-sorted
-        week = local_week_id(r.utc_seconds, r.tz_offset_minutes)
-        per_user.setdefault(r.user_key, {}).setdefault(week, []).append(r)
-
-    surviving: dict[str, list[tuple[int, list[RawRecord]]]] = {}
-    for user, by_week in per_user.items():
-        kept = [(w, recs) for w, recs in sorted(by_week.items()) if len(recs) >= min_session_records]
-        if len(kept) >= min_sessions:
-            surviving[user] = kept
-    if not surviving:
+    cols = rs.columns
+    week = local_week_id(cols.utc, cols.tz)
+    # rows by (user, week); records are (user, time)-sorted and the sort is
+    # stable, so each session keeps its records in time order
+    rows = np.lexsort((week, cols.user))
+    user, week = cols.user[rows], week[rows]
+    starts = np.flatnonzero(_run_starts(user, week))
+    sizes = np.diff(np.append(starts, len(rows)))
+    session_user = user[starts]
+    kept = sizes >= min_session_records
+    kept &= np.bincount(session_user[kept], minlength=len(cols.user_keys))[session_user] >= min_sessions
+    if not kept.any():
         raise PreprocessError("no users survive sessionization")
+    rows = rows[np.repeat(kept, sizes)]
 
-    users_sorted = sorted(surviving)
-    loc_keys = sorted({r.location_key for u in users_sorted for _, recs in surviving[u] for r in recs})
-    raw_cat_ids = category_ids(rs)
-    cat_names = sorted(
-        {
-            rs.locations[k].category_name
-            for k in loc_keys
-            if rs.locations[k].category_name is not None
-        }
-    )
-    cat_of_name = {name: i for i, name in enumerate(cat_names)}
-
-    loc_index = {k: i for i, k in enumerate(loc_keys)}
-    loc_coord = [(rs.locations[k].lat, rs.locations[k].lon) for k in loc_keys]
-    loc_cat = [
-        cat_of_name[rs.locations[k].category_name]
-        if rs.locations[k].category_name is not None
-        else -1
-        for k in loc_keys
-    ]
+    users_kept = np.unique(session_user[kept])
+    locs_kept = np.unique(cols.loc[rows])
+    first_cat = cols.loc_cat[locs_kept]
+    cats_kept = np.unique(first_cat[first_cat >= 0])
+    # ingest-level ids count the categories of the records and of the kept
+    # locations' first-seen data, which a conflicting record may not share
+    raw_cats = np.union1d(dense_category_codes(cols), cats_kept)
+    loc_cat = np.where(first_cat >= 0, np.searchsorted(cats_kept, first_cat), -1)
     vocab = Vocab(
-        user_key=users_sorted,
-        loc_key=loc_keys,
-        cat_name=cat_names,
-        cat_raw_id=[raw_cat_ids[n] for n in cat_names],
-        loc_coord=loc_coord,
-        loc_cat=loc_cat,
+        user_key=[cols.user_keys[i] for i in users_kept.tolist()],
+        loc_key=[cols.loc_keys[i] for i in locs_kept.tolist()],
+        cat_name=[cols.cat_names[i] for i in cats_kept.tolist()],
+        cat_raw_id=np.searchsorted(raw_cats, cats_kept).tolist(),
+        loc_coord=list(zip(cols.loc_lat[locs_kept].tolist(), cols.loc_lon[locs_kept].tolist())),
+        loc_cat=loc_cat.tolist(),
     )
 
-    out: list[SessionizedUser] = []
-    for ui, user in enumerate(users_sorted):
-        sessions = []
-        for week, recs in surviving[user]:
-            rows = []
-            for r in recs:
-                hour, dow, tow = local_fields(r.utc_seconds, r.tz_offset_minutes)
-                li = loc_index[r.location_key]
-                rows.append(
-                    SessRecord(li, loc_cat[li], hour, dow, tow, r.utc_seconds, r.tz_offset_minutes)
-                )
-            sessions.append(Session(week, rows))
-        out.append(SessionizedUser(ui, sessions))
+    loc = np.searchsorted(locs_kept, cols.loc[rows])
+    utc, tz = cols.utc[rows], cols.tz[rows]
+    hour, dow, tow = local_fields(utc, tz)
+    with gc_paused():
+        records = list(map(
+            SessRecord, loc.tolist(), loc_cat[loc].tolist(), hour.tolist(), dow.tolist(), tow.tolist(),
+            utc.tolist(), tz.tolist(),
+        ))
+        out: list[SessionizedUser] = []
+        start, last_user = 0, -1
+        for u, w, n in zip(session_user[kept].tolist(), week[starts][kept].tolist(), sizes[kept].tolist()):
+            if u != last_user:
+                out.append(SessionizedUser(len(out), []))
+                last_user = u
+            out[-1].sessions.append(Session(w, records[start:start + n]))
+            start += n
     return vocab, out
 
 
@@ -243,11 +243,8 @@ class StageCounts:
 
 
 def _counts(rs: RecordSet) -> StageCounts:
-    return StageCounts(
-        users=len({r.user_key for r in rs.records}),
-        locs=len({r.location_key for r in rs.records}),
-        records=len(rs.records),
-    )
+    cols = rs.columns
+    return StageCounts(users=len(np.unique(cols.user)), locs=len(np.unique(cols.loc)), records=len(cols))
 
 
 @dataclass
@@ -326,21 +323,21 @@ def save_processed(path, vocab: Vocab, users: list[SessionizedUser], header_line
     """Tagged plain-text layout. `U` starts a user block, `S` a session block,
     and `R` lines carry the canonical record columns (user key, location key,
     category id, lat, lon, utc seconds, tz offset minutes)."""
+    coord_text = [f"{lat!r}\t{lon!r}" for lat, lon in vocab.loc_coord]
+    raw_cat = vocab.cat_raw_id + [-1]  # category -1 picks -1
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{PROCESSED_MAGIC}\tusers={vocab.n_users}\tlocs={vocab.n_locs}\tcats={vocab.n_cats}\n")
         for h in header_lines:
             fh.write(f"#{h}\n")
         for u in users:
-            fh.write(f"U\t{vocab.user_key[u.user_index]}\t{u.split_point}\t{len(u.sessions)}\n")
+            key = vocab.user_key[u.user_index]
+            fh.write(f"U\t{key}\t{u.split_point}\t{len(u.sessions)}\n")
             for s in u.sessions:
                 fh.write(f"S\t{s.week_id}\t{len(s.records)}\n")
-                for r in s.records:
-                    lat, lon = vocab.loc_coord[r.loc]
-                    raw_cat = vocab.cat_raw_id[r.cat] if r.cat >= 0 else -1
-                    fh.write(
-                        f"R\t{vocab.user_key[u.user_index]}\t{vocab.loc_key[r.loc]}"
-                        f"\t{raw_cat}\t{lat!r}\t{lon!r}\t{r.utc}\t{r.tz}\n"
-                    )
+                fh.writelines(
+                    f"R\t{key}\t{vocab.loc_key[r.loc]}\t{raw_cat[r.cat]}\t{coord_text[r.loc]}\t{r.utc}\t{r.tz}\n"
+                    for r in s.records
+                )
 
 
 def save_vocab(path, vocab: Vocab, header_lines: list[str] = ()) -> None:
@@ -358,80 +355,119 @@ def save_vocab(path, vocab: Vocab, header_lines: list[str] = ()) -> None:
 
 
 def load_vocab(path) -> Vocab:
+    """Read a `save_vocab` file, checking that each line's index is its
+    position among the lines of its tag."""
     user_key, loc_key, cat_name, cat_raw_id, loc_coord, loc_cat = [], [], [], [], [], []
+    keys = {"USER": user_key, "LOC": loc_key, "CAT": cat_name}
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != VOCAB_MAGIC:
             raise PreprocessError(f"{path}: not a vocabulary file")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             tag, *rest = line.split("\t")
-            if tag == "USER":
-                user_key.append(rest[1])
-            elif tag == "LOC":
-                loc_key.append(rest[1])
-                loc_coord.append((float(rest[2]), float(rest[3])))
-                loc_cat.append(int(rest[4]))
+            if tag not in keys:
+                raise PreprocessError(f"{path}:{lineno}: unknown tag {tag!r}")
+            try:
+                index = int(rest[0])
+                if tag == "USER":
+                    key = rest[1]
+                elif tag == "LOC":
+                    key, coord, cat = rest[1], (float(rest[2]), float(rest[3])), int(rest[4])
+                else:
+                    raw_id, key = int(rest[1]), rest[2]
+            except (IndexError, ValueError):
+                raise PreprocessError(f"{path}:{lineno}: malformed {tag} line") from None
+            if index != len(keys[tag]):
+                raise PreprocessError(f"{path}:{lineno}: {tag} line has index {index}, expected {len(keys[tag])}")
+            keys[tag].append(key)
+            if tag == "LOC":
+                loc_coord.append(coord)
+                loc_cat.append(cat)
             elif tag == "CAT":
-                cat_raw_id.append(int(rest[1]))
-                cat_name.append(rest[2])
-            else:
-                raise PreprocessError(f"{path}: unknown tag {tag!r}")
+                cat_raw_id.append(raw_id)
     return Vocab(user_key, loc_key, cat_name, cat_raw_id, loc_coord, loc_cat)
 
 
 def load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
-    """Read a `save_processed` file, checking the header's user count, each
-    block's declared session or record count, that every `S`/`R` line sits
-    inside a user/session block, and that every key is in `vocab`."""
+    """Read a `save_processed` file, checking the header's user, location
+    and category counts, each block's declared session or record count,
+    each user's split point, that every `S`/`R` line sits inside a
+    user/session block, that every key is in `vocab`, and that every tz
+    offset and local time is in the calendar's range. The calendar fields
+    of all records are computed in one pass at the end."""
+    with gc_paused():
+        return _load_processed(path, vocab)
+
+
+def _load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
     users: list[SessionizedUser] = []
     blocks: list[tuple[int, str, int, list]] = []  # (line, what, declared count, items)
+    sessions: list[Session] = []
+    starts: list[int] = []  # each session's first row in the columns below
+    loc: list[int] = []  # per R line
+    utc: list[int] = []
+    tz: list[int] = []
+    user_index, loc_index = vocab.user_index, vocab.loc_index
     current_user: SessionizedUser | None = None
+    current_key: str | None = None
     current_session: Session | None = None
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if not first.startswith(PROCESSED_MAGIC):
             raise PreprocessError(f"{path}: not a processed dataset file")
         header = dict(f.split("=", 1) for f in first[len(PROCESSED_MAGIC):].split("\t") if "=" in f)
+        for name, have in (("locs", vocab.n_locs), ("cats", vocab.n_cats)):
+            if header.get(name) != str(have):
+                raise PreprocessError(f"{path}: header declares {name}={header.get(name)}, the vocabulary has {have}")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            tag, *rest = line.split("\t")
+            fields = line.split("\t")
+            tag = fields[0]
             try:
-                if tag == "U":
-                    current_user = SessionizedUser(
-                        user_index=vocab.user_index[rest[0]], sessions=[], split_point=int(rest[1])
-                    )
-                    current_session = None
-                    users.append(current_user)
-                    blocks.append((lineno, "sessions", int(rest[2]), current_user.sessions))
+                if tag == "R":
+                    if current_session is None:
+                        raise PreprocessError(f"{path}:{lineno}: R line outside a session block")
+                    _, user_k, loc_k, _raw_cat, _lat, _lon, utc_s, tz_s = fields
+                    if user_k != current_key:
+                        user_index[user_k]  # an unknown key is named as such
+                        raise PreprocessError(f"{path}:{lineno}: R line of user {user_k!r} in another user's block")
+                    utc_v, tz_v = int(utc_s), int(tz_s)
+                    check_local_time(utc_v, tz_v)
+                    loc.append(loc_index[loc_k])
+                    utc.append(utc_v)
+                    tz.append(tz_v)
                 elif tag == "S":
                     if current_user is None:
                         raise PreprocessError(f"{path}:{lineno}: S line before any U line")
-                    current_session = Session(week_id=int(rest[0]), records=[])
+                    current_session = Session(week_id=int(fields[1]), records=[])
                     current_user.sessions.append(current_session)
-                    blocks.append((lineno, "records", int(rest[1]), current_session.records))
-                elif tag == "R":
-                    if current_session is None:
-                        raise PreprocessError(f"{path}:{lineno}: R line outside a session block")
-                    user_k, loc_k, _raw_cat, _lat, _lon, utc_s, tz_s = rest
-                    if vocab.user_index[user_k] != current_user.user_index:
-                        raise PreprocessError(f"{path}:{lineno}: R line of user {user_k!r} in another user's block")
-                    li = vocab.loc_index[loc_k]
-                    utc, tz = int(utc_s), int(tz_s)
-                    hour, dow, tow = local_fields(utc, tz)
-                    current_session.records.append(
-                        SessRecord(li, vocab.loc_cat[li], hour, dow, tow, utc, tz)
-                    )
+                    sessions.append(current_session)
+                    starts.append(len(loc))
+                    blocks.append((lineno, "records", int(fields[2]), current_session.records))
+                elif tag == "U":
+                    current_key, split_point, n_sessions = fields[1], int(fields[2]), int(fields[3])
+                    if not 0 <= split_point <= n_sessions:
+                        raise PreprocessError(
+                            f"{path}:{lineno}: split point {split_point} outside [0, {n_sessions}] sessions"
+                        )
+                    current_user = SessionizedUser(user_index[current_key], [], split_point)
+                    current_session = None
+                    users.append(current_user)
+                    blocks.append((lineno, "sessions", n_sessions, current_user.sessions))
                 else:
                     raise PreprocessError(f"{path}:{lineno}: unknown tag {tag!r}")
             except KeyError as e:
                 raise PreprocessError(f"{path}:{lineno}: key {e.args[0]!r} not in the vocabulary") from None
-            except (IndexError, ValueError):
-                raise PreprocessError(f"{path}:{lineno}: malformed {tag} line") from None
+            except (IndexError, ValueError) as e:
+                raise PreprocessError(f"{path}:{lineno}: malformed {tag} line: {e}") from None
+    records = _session_records(vocab, loc, utc, tz)
+    for session, start, stop in zip(sessions, starts, starts[1:] + [len(loc)]):
+        session.records.extend(records[start:stop])
     for lineno, what, declared, items in blocks:
         if len(items) != declared:
             raise PreprocessError(f"{path}:{lineno}: declares {declared} {what}, found {len(items)}")
@@ -440,3 +476,11 @@ def load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
     if header.get("users") != str(len(users)):
         raise PreprocessError(f"{path}: header declares users={header.get('users')}, found {len(users)}")
     return users
+
+
+def _session_records(vocab: Vocab, loc: list[int], utc: list[int], tz: list[int]) -> list[SessRecord]:
+    """The `SessRecord`s of the given columns, with the categories of
+    `vocab` and the calendar fields computed in one vectorised pass."""
+    hour, dow, tow = local_fields(np.array(utc, dtype=np.int64), np.array(tz, dtype=np.int64))
+    loc_cat = np.array(vocab.loc_cat, dtype=np.intp)[loc].tolist()
+    return list(map(SessRecord, loc, loc_cat, hour.tolist(), dow.tolist(), tow.tolist(), utc, tz))

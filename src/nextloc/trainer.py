@@ -18,6 +18,7 @@ from . import autodiff as ad
 from .model import Batch, ModelConfig, build_params, forward
 from .objective import LossBreakdown, LossWeights, total_loss
 from .params import ParamStore
+from .ingest import gc_paused
 from .preprocess import SessionizedUser, SessRecord, Vocab
 
 
@@ -40,17 +41,19 @@ def make_instances(users: list[SessionizedUser], split: str) -> list[TrainingIns
     if split not in ("train", "test"):
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     out: list[TrainingInstance] = []
-    for u in users:
-        sessions = u.sessions
-        lo, hi = (0, u.split_point) if split == "train" else (u.split_point, len(sessions))
-        for p in range(lo, hi):
-            history = [r for s in sessions[:p] for r in s.records]
-            records = sessions[p].records
-            for i in range(1, len(records)):
-                tgt = records[i]
-                out.append(
-                    TrainingInstance(u.user_index, history, records[:i], tgt.tow, tgt.cat, tgt.loc)
-                )
+    with gc_paused():
+        for u in users:
+            sessions = u.sessions
+            lo, hi = (0, u.split_point) if split == "train" else (u.split_point, len(sessions))
+            history = [r for s in sessions[:lo] for r in s.records]
+            for s in sessions[lo:hi]:
+                records = s.records
+                for i in range(1, len(records)):
+                    tgt = records[i]
+                    out.append(
+                        TrainingInstance(u.user_index, history, records[:i], tgt.tow, tgt.cat, tgt.loc)
+                    )
+                history = history + records  # a new list: the session's instances keep theirs
     return out
 
 

@@ -149,6 +149,15 @@ def test_prepare_reports_reference_deviation(tmp_path, capsys):
     assert "reference_deviation_users\t+0.0000" in stats
 
 
+def test_prepare_rejects_line_with_absurd_tz_offset(tmp_path, capsys):
+    absurd = "u00\tv03\t4bf58dd8d48988d100941735\tGym\t40.730000000000004\t-74.0\t9999999999\tThu May 17 21:27:17 +0000 2012"
+    data = tmp_path / "checkins.txt"
+    data.write_text(FIXTURE.read_text(encoding="utf-8") + absurd + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path)
+    assert main(["prepare", "--config", str(cfg), "--set", f"dataset_path={data}"]) == 0
+    assert read_stats(tmp_path / "out")["rejected_lines"] == (oracle_counts(FIXTURE)["rejects"] + 1,)
+
+
 def test_prepare_missing_dataset_fails(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = main(["prepare", "--config", str(cfg), "--set", "dataset_path=/no/such/file"])
@@ -167,6 +176,15 @@ def test_unknown_and_invalid_keys_enumerated(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "bogus_key" in err and "epochs" in err and "train_ratio" in err
+
+
+@pytest.mark.parametrize("offset", ["1441", "-1441", "9999999999"])
+def test_gowalla_tz_offset_out_of_range_rejected(tmp_path, capsys, offset):
+    cfg = write_config(tmp_path)
+    rc = main(["prepare", "--config", str(cfg), "--set", f"gowalla_tz_offset_minutes={offset}"])
+    assert rc == 2
+    line = single_error_line(capsys.readouterr().err)
+    assert line.startswith("nextloc-error: config-invalid: gowalla_tz_offset_minutes: must be within [-1440, 1440]")
 
 
 def test_missing_output_dir_rejected(tmp_path, capsys):
@@ -343,6 +361,22 @@ def test_train_rejects_truncated_processed_file(tmp_path, capsys):
     assert rc == 1
     line = single_error_line(capsys.readouterr().err)
     assert line.startswith("nextloc-error: pipeline:") and "declares" in line
+
+
+def test_train_rejects_split_point_outside_sessions(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    processed = tmp_path / "out" / "processed.txt"
+    lines = processed.read_text().splitlines(keepends=True)
+    first_user = next(i for i, line in enumerate(lines) if line.startswith("U\t"))
+    fields = lines[first_user].split("\t")
+    lines[first_user] = "\t".join([fields[0], fields[1], "-1", fields[3]])
+    processed.write_text("".join(lines))
+    rc = main(["train", "--config", str(cfg)])
+    assert rc == 1
+    line = single_error_line(capsys.readouterr().err)
+    assert line.startswith("nextloc-error: pipeline:") and "split point -1 outside" in line
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

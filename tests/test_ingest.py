@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from nextloc.ingest import (
     IngestError,
-    category_ids,
+    LocationInfo,
+    RawRecord,
+    RecordSet,
     parse_foursquare,
     parse_gowalla,
     write_canonical,
@@ -184,8 +186,10 @@ def test_category_ids_lexicographic(tmp_path):
         FSQ_LINE.replace("Bar", "Zoo") + "\n"
         + FSQ_LINE.replace("v9", "v1").replace("18:00:06", "19:00:00") + "\n"
     )
-    rs = parse_foursquare(path)
-    assert category_ids(rs) == {"Bar": 0, "Zoo": 1}
+    out = tmp_path / "canonical.txt"
+    write_canonical(parse_foursquare(path), out)
+    # the canonical category id column numbers the names in sorted order
+    assert [line.split("\t")[:3] for line in out.read_text().splitlines()] == [["u1", "v9", "1"], ["u1", "v1", "0"]]
 
 
 def test_canonical_output_columns(tmp_path):
@@ -195,3 +199,49 @@ def test_canonical_output_columns(tmp_path):
     write_canonical(parse_foursquare(src), out)
     fields = out.read_text().strip().split("\t")
     assert fields == ["u1", "v9", "0", "40.7", "-74.0", "1333476006", "-240"]
+
+
+def test_absurd_tz_offset_rejected_with_reason(tmp_path):
+    path = tmp_path / "fsq.txt"
+    path.write_text("\n".join([
+        FSQ_LINE,
+        FSQ_LINE.replace("\t-240\t", "\t9999999999\t"),
+        FSQ_LINE.replace("\t-240\t", "\t1441\t"),
+        FSQ_LINE.replace("\t-240\t", "\t-1440\t"),
+    ]) + "\n")
+    rs = parse_foursquare(path)
+    assert [r.tz_offset_minutes for r in rs.records] == [-240, -1440]
+    assert rs.rejects == [
+        (2, "tz offset 9999999999 minutes outside [-1440, 1440]"),
+        (3, "tz offset 1441 minutes outside [-1440, 1440]"),
+    ]
+
+
+def test_local_time_after_year_9999_rejected(tmp_path):
+    last_hour = FSQ_LINE.replace("Tue Apr 03 18:00:06 +0000 2012", "Fri Dec 31 23:00:00 +0000 9999")
+    path = tmp_path / "fsq.txt"
+    path.write_text(last_hour.replace("\t-240\t", "\t59\t") + "\n" + last_hour.replace("\t-240\t", "\t60\t") + "\n")
+    rs = parse_foursquare(path)
+    assert len(rs.records) == 1 and rs.records[0].local_seconds() == civil_to_epoch(9999, 12, 31, 23, 59, 0)
+    assert rs.rejects == [(2, f"local time {civil_to_epoch(10000, 1, 1, 0, 0, 0)} s outside years 1-9999")]
+
+
+def test_gowalla_offset_out_of_range_rejects_each_line(tmp_path):
+    path = tmp_path / "gow.txt"
+    path.write_text("u5\t2010-10-19T23:55:27Z\t32.8\t-96.8\tloc7\n")
+    rs = parse_gowalla(path, tz_offset_minutes=-1441)
+    assert rs.records == [] and rs.rejects == [(1, "tz offset -1441 minutes outside [-1440, 1440]")]
+
+
+def test_records_are_built_from_the_columns(tmp_path):
+    # parsers keep columns; the RawRecord list and locations come from them,
+    # and records with the same user and time keep their file order
+    path = tmp_path / "fsq.txt"
+    path.write_text(FSQ_LINE + "\n" + FSQ_LINE.replace("v9", "v1").replace("Bar", "Cafe") + "\n")
+    rs = parse_foursquare(path)
+    assert rs.records == [
+        RawRecord("u1", "v9", "Bar", 40.7, -74.0, 1333476006, -240),
+        RawRecord("u1", "v1", "Cafe", 40.7, -74.0, 1333476006, -240),
+    ]
+    assert rs.locations == {"v1": LocationInfo(40.7, -74.0, "Cafe"), "v9": LocationInfo(40.7, -74.0, "Bar")}
+    assert rs == RecordSet(records=list(rs.records), source_tag="foursquare", locations=dict(rs.locations))

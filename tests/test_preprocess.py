@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from nextloc.preprocess import (
     load_processed,
     load_vocab,
     local_fields,
+    local_week_id,
     merge_consecutive,
     run_pipeline,
     save_processed,
@@ -288,3 +290,67 @@ def test_load_rejects_misplaced_lines(tmp_path):
         proc_path.write_text("".join(text))
         with pytest.raises(PreprocessError, match=why):
             load_processed(proc_path, result.vocab)
+
+
+@pytest.mark.parametrize("split", ["-1", "7"])
+def test_load_rejects_split_point_outside_sessions(tmp_path, split):
+    result, vocab_path, proc_path = saved_dataset(tmp_path)
+    text = proc_path.read_text().replace("U\tu0\t5\t6\n", f"U\tu0\t{split}\t6\n")
+    proc_path.write_text(text)
+    with pytest.raises(PreprocessError, match=rf"split point {split} outside \[0, 6\]"):
+        load_processed(proc_path, result.vocab)
+
+
+@pytest.mark.parametrize("field,wrong", [("locs", "locs=5"), ("cats", "cats=0")])
+def test_load_rejects_header_counts_other_than_the_vocabulary(tmp_path, field, wrong):
+    result, vocab_path, proc_path = saved_dataset(tmp_path)
+    lines = proc_path.read_text().splitlines(keepends=True)
+    lines[0] = lines[0].replace(f"{field}={getattr(result.vocab, 'n_' + field)}", wrong)
+    proc_path.write_text("".join(lines))
+    with pytest.raises(PreprocessError, match=f"header declares {wrong}, the vocabulary has"):
+        load_processed(proc_path, result.vocab)
+
+
+@pytest.mark.parametrize("utc,tz", [("99999999999999999999", "0"), ("1672617600", "1441")])
+def test_load_rejects_times_outside_the_calendar(tmp_path, utc, tz):
+    result, vocab_path, proc_path = saved_dataset(tmp_path)
+    lines = proc_path.read_text().splitlines(keepends=True)
+    r_at = next(i for i, line in enumerate(lines) if line.startswith("R\t"))
+    lines[r_at] = "\t".join(lines[r_at].split("\t")[:6] + [utc, tz]) + "\n"
+    proc_path.write_text("".join(lines))
+    with pytest.raises(PreprocessError, match=f":{r_at + 1}: malformed R line"):
+        load_processed(proc_path, result.vocab)
+
+
+@pytest.mark.parametrize("tag", ["USER", "LOC", "CAT"])
+def test_load_vocab_checks_the_index_column(tmp_path, tag):
+    result, vocab_path, proc_path = saved_dataset(tmp_path)
+    lines = vocab_path.read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith(tag + "\t"))
+    if tag == "CAT":  # the dataset's only category
+        lines[first] = lines[first].replace("CAT\t0\t", "CAT\t1\t")
+    else:  # two rows swapped
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    vocab_path.write_text("".join(lines))
+    with pytest.raises(PreprocessError, match=f":{first + 1}: {tag} line has index 1, expected 0"):
+        load_vocab(vocab_path)
+
+
+def test_load_vocab_rejects_malformed_lines(tmp_path):
+    result, vocab_path, proc_path = saved_dataset(tmp_path)
+    vocab_path.write_text(vocab_path.read_text() + "LOC\t4\tl9\n")
+    with pytest.raises(PreprocessError, match="malformed LOC line"):
+        load_vocab(vocab_path)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 253402214400), st.integers(-1440, 1440)), min_size=1, max_size=20))
+def test_calendar_fields_of_arrays_match_scalars_and_datetime(times):
+    from datetime import datetime, timezone
+
+    utc = np.array([t for t, _ in times], dtype=np.int64)
+    tz = np.array([z for _, z in times], dtype=np.int64)
+    hour, dow, tow = local_fields(utc, tz)
+    assert list(zip(hour.tolist(), dow.tolist(), tow.tolist())) == [local_fields(t, z) for t, z in times]
+    iso = [datetime.fromtimestamp(t + 60 * z, tz=timezone.utc).isocalendar() for t, z in times]
+    assert local_week_id(utc, tz).tolist() == [y * 100 + w for y, w, _ in iso]
