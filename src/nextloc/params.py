@@ -11,15 +11,18 @@ Checkpoint layout (version 1, documented byte-exact):
 
 `save_checkpoint` writes a temporary file beside the target and renames it
 into place, so a failed write leaves any earlier checkpoint untouched.
-Loading reproduces the store bit-exactly. It raises `CheckpointError` for a
-header that is not such JSON, a negative tensor dimension, a truncated
-tensor, or bytes after the last tensor.
+Loading reproduces the store bit-exactly. It first checks the sizes the
+header declares against the bytes the file has, then reads each array
+straight into its final buffer. It raises `CheckpointError` for a header
+that is not such JSON, a negative tensor dimension, a tensor the rest of
+the file is too short for, or bytes after the last tensor.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -28,6 +31,7 @@ import numpy as np
 from .autodiff import Tensor
 
 CHECKPOINT_MAGIC = b"NLCKPT01"
+ADAM_BLOCK = 32768  # elements of each array that Adam updates at a time (256 KiB)
 
 
 class CheckpointError(Exception):
@@ -37,10 +41,10 @@ class CheckpointError(Exception):
 class _Entry:
     __slots__ = ("tensor", "m", "v")
 
-    def __init__(self, tensor: Tensor):
+    def __init__(self, tensor: Tensor, m: np.ndarray | None = None, v: np.ndarray | None = None):
         self.tensor = tensor
-        self.m = np.zeros_like(tensor.value)
-        self.v = np.zeros_like(tensor.value)
+        self.m = np.zeros_like(tensor.value) if m is None else m
+        self.v = np.zeros_like(tensor.value) if v is None else v
 
 
 def _fan_in(shape) -> int:
@@ -57,6 +61,7 @@ class ParamStore:
         self._rng = np.random.default_rng(self.seed)
         self.entries: dict[str, _Entry] = {}
         self.step = 0
+        self._scratch = np.empty(ADAM_BLOCK)
 
     def add(self, name: str, shape, init: str = "fanin") -> Tensor:
         if name in self.entries:
@@ -105,29 +110,33 @@ class ParamStore:
         Computes m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
         value -= (lr m_hat) / (sqrt(v_hat) + eps) in that operation order,
         in place: the gradient buffer holds (1 - b1) g and then the update,
-        and one scratch array the other temporaries."""
+        and one scratch block the other temporaries. Each tensor is updated
+        `ADAM_BLOCK` elements at a time, so the five arrays of a block stay
+        in cache across the fourteen operations."""
         self.step += 1
         t = self.step
         c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
-        scratch = np.empty(max((e.tensor.value.size for e in self.entries.values()), default=0))
         for e in self.entries.values():
-            g = e.tensor.grad
-            tmp = scratch[: g.size].reshape(g.shape)
-            e.v *= beta2
-            np.multiply(g, 1.0 - beta2, out=tmp)
-            tmp *= g
-            e.v += tmp
-            e.m *= beta1
-            g *= 1.0 - beta1
-            e.m += g
-            np.divide(e.m, c1, out=g)
-            g *= lr
-            np.divide(e.v, c2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += eps
-            g /= tmp
-            e.tensor.value -= g
-        self.zero_grad()
+            value, m, v, grad = (a.reshape(-1) for a in (e.tensor.value, e.m, e.v, e.tensor.grad))
+            for lo in range(0, grad.size, ADAM_BLOCK):
+                hi = lo + ADAM_BLOCK
+                g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
+                tmp = self._scratch[: g.size]
+                vb *= beta2
+                np.multiply(g, 1.0 - beta2, out=tmp)
+                tmp *= g
+                vb += tmp
+                mb *= beta1
+                g *= 1.0 - beta1
+                mb += g
+                np.divide(mb, c1, out=g)
+                g *= lr
+                np.divide(vb, c2, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += eps
+                g /= tmp
+                value[lo:hi] -= g
+                g.fill(0.0)
 
 
 def _preallocate(fh, size: int) -> None:
@@ -175,7 +184,10 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
         magic = fh.read(8)
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
+        size = os.fstat(fh.fileno()).st_size
         n = int.from_bytes(fh.read(8), "little")
+        if n > size - fh.tell():
+            raise CheckpointError(f"{path}: header declares {n} bytes, {size - fh.tell()} left")
         try:
             header = json.loads(fh.read(n).decode("utf-8"))
             version, meta = header["version"], dict(header["meta"])
@@ -188,20 +200,20 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
         for name, shape in specs:
             if any(d < 0 for d in shape):
                 raise CheckpointError(f"{path}: tensor {name} has negative dimensions {list(shape)}")
+        left = size - fh.tell()
+        for name, shape in specs:
+            need = 3 * 8 * math.prod(shape)
+            if need > left:
+                raise CheckpointError(f"{path}: truncated tensor {name}: declares {need} bytes, {left} left")
+            left -= need
+        if left:
+            raise CheckpointError(f"{path}: trailing bytes after the last tensor")
         store = ParamStore(seed=seed)
         store.step = step
         for name, shape in specs:
-            count = int(np.prod(shape)) if shape else 1
-            entry_arrays = []
-            for _ in range(3):
-                raw = fh.read(count * 8)
-                if len(raw) != count * 8:
+            arrays = [np.empty(shape, dtype="<f8") for _ in range(3)]
+            for arr in arrays:
+                if fh.readinto(arr) != arr.nbytes:
                     raise CheckpointError(f"{path}: truncated tensor {name}")
-                entry_arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
-            t = Tensor(entry_arrays[0], requires_grad=True)
-            e = _Entry(t)
-            e.m, e.v = entry_arrays[1], entry_arrays[2]
-            store.entries[name] = e
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after the last tensor")
+            store.entries[name] = _Entry(Tensor(arrays[0], requires_grad=True), arrays[1], arrays[2])
     return store, meta

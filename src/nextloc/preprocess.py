@@ -396,8 +396,9 @@ def load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
     and category counts, each block's declared session or record count,
     each user's split point, that every `S`/`R` line sits inside a
     user/session block, that every key is in `vocab`, and that every tz
-    offset and local time is in the calendar's range. The calendar fields
-    of all records are computed in one pass at the end."""
+    offset and local time is in the calendar's range, and that every
+    category id, lat and lon is the one its location has in `vocab`. The
+    calendar fields of all records are computed in one pass at the end."""
     with gc_paused():
         return _load_processed(path, vocab)
 
@@ -411,6 +412,7 @@ def _load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
     utc: list[int] = []
     tz: list[int] = []
     user_index, loc_index = vocab.user_index, vocab.loc_index
+    loc_text = _location_fields_text(vocab)
     current_user: SessionizedUser | None = None
     current_key: str | None = None
     current_session: Session | None = None
@@ -426,19 +428,25 @@ def _load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            fields = line.split("\t")
+            fields = line.split("\t", 3)  # an R line's last field is split below
             tag = fields[0]
             try:
                 if tag == "R":
                     if current_session is None:
                         raise PreprocessError(f"{path}:{lineno}: R line outside a session block")
-                    _, user_k, loc_k, _raw_cat, _lat, _lon, utc_s, tz_s = fields
+                    _, user_k, loc_k, rest = fields
+                    loc_fields, utc_s, tz_s = rest.rsplit("\t", 2)
                     if user_k != current_key:
                         user_index[user_k]  # an unknown key is named as such
                         raise PreprocessError(f"{path}:{lineno}: R line of user {user_k!r} in another user's block")
                     utc_v, tz_v = int(utc_s), int(tz_s)
                     check_local_time(utc_v, tz_v)
-                    loc.append(loc_index[loc_k])
+                    loc_v = loc_index[loc_k]
+                    if loc_fields != loc_text[loc_v]:
+                        problem = _location_fields_problem(loc_fields, loc_text[loc_v], vocab.loc_coord[loc_v])
+                        if problem:
+                            raise PreprocessError(f"{path}:{lineno}: R line {problem}")
+                    loc.append(loc_v)
                     utc.append(utc_v)
                     tz.append(tz_v)
                 elif tag == "S":
@@ -476,6 +484,38 @@ def _load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
     if header.get("users") != str(len(users)):
         raise PreprocessError(f"{path}: header declares users={header.get('users')}, found {len(users)}")
     return users
+
+
+def _location_fields_text(vocab: Vocab) -> list[str]:
+    """Each location's category id, lat and lon as `save_processed` writes
+    them on its `R` lines."""
+    raw_cat = vocab.cat_raw_id + [-1]
+    return [f"{raw_cat[cat]}\t{lat!r}\t{lon!r}" for cat, (lat, lon) in zip(vocab.loc_cat, vocab.loc_coord)]
+
+
+def _location_fields_problem(text: str, want_text: str, want_coord: tuple[float, float]) -> str | None:
+    """What is wrong with an `R` line's category id, lat and lon `text`,
+    given its location's, or None if they are equal as numbers. Raises
+    `ValueError` if `text` is not three fields."""
+    cat_s, lat_s, lon_s = text.split("\t")
+    want_cat = want_text.split("\t", 1)[0]
+    try:
+        if int(cat_s) != int(want_cat):
+            return f"category id {cat_s} is not {want_cat}, its location's"
+    except ValueError:
+        return f"category id {cat_s!r} is not an integer"
+    for name, s, want, bound in zip(("lat", "lon"), (lat_s, lon_s), want_coord, (90.0, 180.0)):
+        try:
+            value = float(s)
+        except ValueError:
+            return f"{name} {s!r} is not a number"
+        if not math.isfinite(value):
+            return f"{name} {s} is not finite"
+        if not -bound <= value <= bound:
+            return f"{name} {s} outside [-{bound:g}, {bound:g}]"
+        if value != want:
+            return f"{name} {s} is not {want!r}, its location's"
+    return None
 
 
 def _session_records(vocab: Vocab, loc: list[int], utc: list[int], tz: list[int]) -> list[SessRecord]:

@@ -136,6 +136,7 @@ def train_epoch(
         ad.backward(node)
         store.clip_global_norm(hyper.clip_norm)
         store.adam_step(hyper.learning_rate)
+        del state, node  # free this step's graph before the next forward builds one
         sums += np.array([bd.loc, bd.time, bd.cat, bd.spatial, bd.total]) * len(chunk)
     sums /= len(order)
     return LossBreakdown(*sums)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nextloc import autodiff as ad
 from nextloc.autodiff import GradError, GRUWeights, backward
-from nextloc.params import CHECKPOINT_MAGIC, CheckpointError, ParamStore, load_checkpoint, save_checkpoint
+from nextloc.params import ADAM_BLOCK, CHECKPOINT_MAGIC, CheckpointError, ParamStore, load_checkpoint, save_checkpoint
 
 
 def numeric_grad(f, arrays, eps=1e-4):
@@ -505,7 +505,17 @@ def test_adam_three_step_trace_matches_oracle():
 
 
 def test_adam_in_place_update_is_bit_identical_to_textbook():
-    shapes = {"w": (3, 5), "b": (5,), "e": (7, 2)}
+    check_adam_against_textbook({"w": (3, 5), "b": (5,), "e": (7, 2)})
+
+
+def test_blocked_adam_update_is_bit_identical_to_textbook():
+    """A tensor several Adam blocks long, one ending mid-block, and a
+    tensor smaller than a block."""
+    assert 300 * 350 > 3 * ADAM_BLOCK and (300 * 350) % ADAM_BLOCK
+    check_adam_against_textbook({"w": (300, 350), "b": (5,), "e": (ADAM_BLOCK + 1,)})
+
+
+def check_adam_against_textbook(shapes):
     store = ParamStore(seed=0)
     for name, shape in shapes.items():
         store.add(name, shape)
@@ -594,12 +604,13 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
 
-def checkpoint_with_shape(shape) -> bytes:
+def checkpoint_with_shape(shape, n_bytes: int = 3 * 6 * 8) -> bytes:
     """A version-1 checkpoint of one tensor whose header claims `shape`,
-    followed by enough bytes for three six-value arrays."""
+    followed by `n_bytes` zero bytes, by default enough for three
+    six-value arrays."""
     header = {"version": 1, "step": 0, "seed": 0, "meta": {}, "tensors": [{"name": "w", "shape": shape}]}
     blob = json.dumps(header).encode("utf-8")
-    return CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob + bytes(3 * 6 * 8)
+    return CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob + bytes(n_bytes)
 
 
 @pytest.mark.parametrize("shape", [[-2, -3], [-1, 2], [0, -1]])
@@ -607,4 +618,62 @@ def test_checkpoint_with_negative_dimension_rejected(tmp_path, shape):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(checkpoint_with_shape(shape))
     with pytest.raises(CheckpointError, match="negative dimensions"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", [[10**12], [2**40, 2**40], [2**62, 4]])
+def test_checkpoint_declaring_more_bytes_than_the_file_rejected(tmp_path, shape):
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(checkpoint_with_shape(shape, n_bytes=64))
+    with pytest.raises(CheckpointError, match="truncated tensor w: declares"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("n", [10**12, 2**63 + 5])
+def test_checkpoint_declaring_a_header_longer_than_the_file_rejected(tmp_path, n):
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + n.to_bytes(8, "little") + b"{}")
+    with pytest.raises(CheckpointError, match=f"header declares {n} bytes, 2 left"):
+        load_checkpoint(path)
+
+
+def saved_store(tmp_path):
+    """A checkpoint of a store with a multi-block, a one-element and an
+    empty tensor, after one Adam step; returns the store and the file."""
+    store = ParamStore(seed=5)
+    store.add("w", (300, 350))
+    store.add("s", (1,))
+    store.add("e", (0, 4), init="zeros")
+    store.add("b", (4,))
+    for n in store.names():
+        store[n].grad[...] = 0.5
+    store.adam_step(lr=0.01)
+    path = tmp_path / "store.ckpt"
+    save_checkpoint(path, store, {"epoch": 2})
+    return store, path
+
+
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
+    store, path = saved_store(tmp_path)
+    loaded, meta = load_checkpoint(path)
+    for n in store.names():
+        a, b = store.entries[n], loaded.entries[n]
+        assert b.tensor.value.shape == a.tensor.value.shape and b.tensor.value.flags.writeable
+        assert np.array_equal(a.tensor.value, b.tensor.value)
+        assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
+    save_checkpoint(tmp_path / "again.ckpt", loaded, meta)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_with_truncated_final_tensor_rejected(tmp_path):
+    _, path = saved_store(tmp_path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(CheckpointError, match="truncated tensor b"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_trailing_bytes_rejected(tmp_path):
+    _, path = saved_store(tmp_path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(CheckpointError, match="trailing bytes after the last tensor"):
         load_checkpoint(path)

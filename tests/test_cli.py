@@ -425,6 +425,16 @@ def test_evaluate_rejects_negative_checkpoint_dimensions(trained, capsys, shape)
     assert line.startswith("nextloc-error: pipeline:") and "negative dimensions" in line
 
 
+def test_evaluate_rejects_checkpoint_declaring_huge_tensors(trained, capsys):
+    tmp_path, cfg = trained
+    bad = tmp_path / "huge.ckpt"
+    bad.write_bytes(checkpoint_with_shape([10**12], n_bytes=64))
+    rc = main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)])
+    assert rc == 1
+    line = single_error_line(capsys.readouterr().err)
+    assert line.startswith("nextloc-error: pipeline:") and "truncated tensor w" in line
+
+
 @pytest.mark.parametrize("seeds", ["1,x", "", "1,-1"])
 def test_sweep_rejects_bad_seed_list(tmp_path, capsys, seeds):
     cfg = write_config(tmp_path)

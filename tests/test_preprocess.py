@@ -322,6 +322,67 @@ def test_load_rejects_times_outside_the_calendar(tmp_path, utc, tz):
         load_processed(proc_path, result.vocab)
 
 
+def load_with_first_r_field(tmp_path, column: int, text: str):
+    """Load the saved dataset with column `column` of its first `R` line set
+    to `text`; returns the line number and the loaded users."""
+    result, vocab_path, proc_path = saved_dataset(tmp_path)
+    lines = proc_path.read_text().splitlines(keepends=True)
+    r_at = next(i for i, line in enumerate(lines) if line.startswith("R\t"))
+    fields = lines[r_at].split("\t")
+    fields[column] = text
+    lines[r_at] = "\t".join(fields)
+    proc_path.write_text("".join(lines))
+    return r_at + 1, lambda: load_processed(proc_path, result.vocab)
+
+
+@pytest.mark.parametrize("text,why", [
+    ("999", "category id 999 is not 0, its location's"),
+    ("-1", "category id -1 is not 0, its location's"),
+    ("cafe", "category id 'cafe' is not an integer"),
+])
+def test_load_rejects_category_id_other_than_the_locations(tmp_path, text, why):
+    lineno, load = load_with_first_r_field(tmp_path, 3, text)
+    with pytest.raises(PreprocessError, match=f":{lineno}: R line {why}"):
+        load()
+
+
+@pytest.mark.parametrize("text,why", [
+    ("not-a-lat", "lat 'not-a-lat' is not a number"),
+    ("nan", "lat nan is not finite"),
+    ("-inf", "lat -inf is not finite"),
+    ("90.5", r"lat 90.5 outside \[-90, 90\]"),
+    ("40.6", "lat 40.6 is not 40.7, its location's"),
+])
+def test_load_rejects_lat_other_than_the_locations(tmp_path, text, why):
+    lineno, load = load_with_first_r_field(tmp_path, 4, text)
+    with pytest.raises(PreprocessError, match=f":{lineno}: R line {why}"):
+        load()
+
+
+@pytest.mark.parametrize("text,why", [
+    ("west", "lon 'west' is not a number"),
+    ("inf", "lon inf is not finite"),
+    ("-180.5", r"lon -180.5 outside \[-180, 180\]"),
+    ("74.0", "lon 74.0 is not -74.0, its location's"),
+])
+def test_load_rejects_lon_other_than_the_locations(tmp_path, text, why):
+    lineno, load = load_with_first_r_field(tmp_path, 5, text)
+    with pytest.raises(PreprocessError, match=f":{lineno}: R line {why}"):
+        load()
+
+
+def test_load_rejects_r_line_with_an_extra_field(tmp_path):
+    lineno, load = load_with_first_r_field(tmp_path, 5, "-74.0\t0")
+    with pytest.raises(PreprocessError, match=f":{lineno}: malformed R line"):
+        load()
+
+
+@pytest.mark.parametrize("column,text", [(3, "00"), (4, "40.70"), (5, "-7.4e1")])
+def test_load_accepts_location_fields_written_otherwise(tmp_path, column, text):
+    _, load = load_with_first_r_field(tmp_path, column, text)
+    assert len(load()) == 3
+
+
 @pytest.mark.parametrize("tag", ["USER", "LOC", "CAT"])
 def test_load_vocab_checks_the_index_column(tmp_path, tag):
     result, vocab_path, proc_path = saved_dataset(tmp_path)

@@ -1,0 +1,31 @@
+"""The test suite's own configuration."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+FAILING_PROPERTY = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_small(x):
+    assert x < 5
+'''
+
+
+def test_failing_hypothesis_test_reports_its_example(tmp_path):
+    """hypothesis's failure reporter imports libcst, which warns that
+    mypy_extensions.TypedDict is deprecated; under the suite's
+    DeprecationWarning-as-error filter that must not hide the failure."""
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"),
+         str(tmp_path / "test_property.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = done.stdout + done.stderr
+    assert done.returncode == 1, out
+    assert "Falsifying example" in out and "INTERNALERROR" not in out, out

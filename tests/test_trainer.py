@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from nextloc import trainer
 from nextloc.model import ModelConfig, build_params, forward
 from nextloc.objective import LossWeights
 from nextloc.params import load_checkpoint, save_checkpoint
@@ -99,6 +102,33 @@ def test_single_batch_means_one_adam_step():
     hyper = TrainHyper(learning_rate=1e-3, batch_size=10_000, epochs=1)
     train_epoch(store, cfg, instances, LossWeights(), hyper, vocab, np.random.default_rng(0))
     assert store.step == 1
+
+
+def test_each_step_graph_is_freed_before_the_next_forward(monkeypatch):
+    vocab, users = corpus()
+    cfg = small_config(vocab)
+    store = build_params(cfg, seed=0)
+    instances = make_instances(users, "train")
+    real_loss = trainer.total_loss
+    previous = []  # weak references to the last step's forward state and loss value
+    live_at_forward = []
+
+    def tracked_forward(*args):
+        state = forward(*args)
+        live_at_forward.append([ref() is not None for ref in previous])
+        return state
+
+    def tracked_loss(state, *args):
+        node, bd = real_loss(state, *args)
+        previous[:] = [weakref.ref(state), weakref.ref(node.value)]
+        return node, bd
+
+    monkeypatch.setattr(trainer, "forward", tracked_forward)
+    monkeypatch.setattr(trainer, "total_loss", tracked_loss)
+    hyper = TrainHyper(learning_rate=1e-3, batch_size=4, epochs=1)
+    train_epoch(store, cfg, instances, LossWeights(), hyper, vocab, np.random.default_rng(0))
+    assert len(live_at_forward) >= 3
+    assert live_at_forward == [[]] + [[False, False]] * (len(live_at_forward) - 1)
 
 
 def test_same_seed_identical_loss_traces():
