@@ -12,6 +12,17 @@ whose shape differs from its parent's raises `GradError`. A closure may
 return views of `g`, or one array for two parents, so neither `g` nor a
 returned contribution is ever modified in place.
 
+A parameter's `.grad` may be None until its first contribution: `backward`
+then allocates zeros and adds the contribution to them, so the sum is the
+same bit for bit as with an eagerly zeroed buffer (-0.0 included).
+`parameter` still zeroes eagerly; loaded and cloned parameter stores leave
+the buffer to `backward`.
+
+A graph holding a `gru_sequence` node can be backpropagated once: that
+node's backward writes its gate gradients over the gate buffers the forward
+saved. A second `backward` through such a graph raises `GradError` before
+any `.grad` changes. Graphs without one still accumulate on every call.
+
 Inside a `no_grad()` block no graph is recorded: an operation's output has
 no parents and no backward closure, so inference keeps none of the buffers
 a backward pass would read, and `backward` on such an output raises
@@ -110,24 +121,44 @@ def backward(loss: Tensor) -> None:
         raise GradError(f"backward requires a scalar, got shape {loss.shape}")
     if loss._backward is None and not loss.requires_grad:
         raise GradError("backward needs a recorded graph; this value was computed under no_grad or from constants")
+    order = _topo_order(loss)
+    if any(node._backward is _spent for node in order):
+        raise GradError("this graph was already backpropagated through a GRU node, whose saved buffers "
+                        "now hold gradients; run the forward again")
     grads: dict[int, np.ndarray] = {}
 
     def receive(node: Tensor, c: np.ndarray) -> None:
         if c.shape != node.value.shape:
             raise GradError(f"gradient of shape {c.shape} for a value of shape {node.shape}")
         if node.requires_grad:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.value)
             node.grad += c
         elif node._backward is not None:
             prior = grads.get(id(node))
             grads[id(node)] = c if prior is None else prior + c  # never in place: c may be shared
 
     receive(loss, np.ones_like(loss.value))
-    for node in reversed(_topo_order(loss)):
+    for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is not None:
-            for parent, c in zip(node.parents, node._backward(g), strict=True):
+            bw = node._backward
+            if getattr(bw, "single_use", False):
+                node._backward = _spent
+            for parent, c in zip(node.parents, bw(g), strict=True):
                 if c is not None:
                     receive(parent, c)
+
+
+def _spent(g):
+    raise GradError("backward through a spent GRU node")
+
+
+def _single_use(bw):
+    """Mark a backward closure that overwrites the buffers it reads, so
+    `backward` runs it at most once."""
+    bw.single_use = True
+    return bw
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +368,21 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
     hoisted out of the recurrence into a gate-major (3, N, H) buffer, so a
     step's z, r and n are contiguous (rows, H) blocks that the gate math
     updates in place. Step t gathers its rows' previous states by index from
-    the (B + N, H) state array, runs its recurrent product into a
-    preallocated buffer and writes its new states to a contiguous block.
-    Backpropagation through time visits the same blocks; the weight and
+    the (B + N, H) state array into a small scratch, runs its recurrent
+    product into a preallocated buffer and writes its new states to a
+    contiguous block. With a graph recorded, the forward keeps the gates,
+    the states and `U_n h` of every pair: (5N + B) H floats.
+
+    Backpropagation through time visits the same blocks in reverse and
+    writes each step's gate gradients over the buffers that step saved,
+    which no later step reads: d(U h) for z, r and n over the gates, and
+    d(W_n x) over `U_n h`. It gathers previous states from the state array
+    again, so no per-pair copy of them is kept. Its only (N, H) allocation
+    is the state gradient; once the time loop ends, that array's pair rows
+    take the previous states for `dW_h`'s single product. The weight and
     bias gradients are one product or sum per gate over all pairs, and `dx`
-    is one (N, in) product. The buffers the backward pass reads (gates,
-    `U_n h` and each pair's previous state) are kept only when a graph is
-    recorded, not under `no_grad`.
+    is one (N, in) product per gate. Having overwritten its buffers, the
+    node can be backpropagated only once.
     """
     bsz, n_pairs, hd = pack.batch, pack.size, w.hidden
     if (x.value.ndim != 2 or x.value.shape[0] != n_pairs or h0.value.shape != (bsz, hd)
@@ -365,15 +404,14 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
     gates += w.bias.value.reshape(3, 1, hd)
     hs = np.empty((bsz + n_pairs, hd))
     hs[:bsz] = h0.value
-    h_prev = np.empty((n_pairs if record else bsz, hd))
     un_h = np.empty((n_pairs, hd)) if record else None
     uh = np.empty((3, bsz, hd))
-    tmp = np.empty((bsz, hd))
+    scratch = np.empty((2, bsz, hd))
     for t in range(pack.steps):
         lo, hi = off[t], off[t + 1]
         if lo == hi:
             continue
-        h = h_prev[lo:hi] if record else h_prev[: hi - lo]
+        h, tmp = scratch[:, : hi - lo]
         np.take(hs, prev[lo:hi], axis=0, out=h, mode="clip")  # valid indices; "clip" writes out= unbuffered
         u = uh[:, : hi - lo]
         np.matmul(h, wh_t, out=u)
@@ -391,50 +429,55 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
         h_new = hs[bsz + lo: bsz + hi]
         np.subtract(1.0, z, out=h_new)
         h_new *= n
-        zh = np.multiply(z, h, out=tmp[: hi - lo])
+        zh = np.multiply(z, h, out=tmp)
         h_new += zh
 
+    @_single_use
     def bw_seq(g):
         dh = np.zeros((bsz + n_pairs, hd))  # d(loss)/d(state), h0 rows first
         dh[bsz:] = g
-        dgh = np.empty((3, n_pairs, hd))    # d(loss)/d(U h) per gate
-        dn_x = np.empty((n_pairs, hd))      # d(loss)/d(W_n x); the z and r ones equal dgh[:2]
         uh = np.empty((3, bsz, hd))
-        tmp = np.empty((bsz, hd))
+        scratch = np.empty((4, bsz, hd))
         for t in reversed(range(pack.steps)):
             lo, hi = off[t], off[t + 1]
             if lo == hi:
                 continue
-            z, r, n = gates[0, lo:hi], gates[1, lo:hi], gates[2, lo:hi]
-            dz, dr, dnh, dn = dgh[0, lo:hi], dgh[1, lo:hi], dgh[2, lo:hi], dn_x[lo:hi]
-            d_new, s = dh[bsz + lo: bsz + hi], tmp[: hi - lo]
+            z, r, n, unh = gates[0, lo:hi], gates[1, lo:hi], gates[2, lo:hi], un_h[lo:hi]
+            d_new = dh[bsz + lo: bsz + hi]
+            h, s, dn, d_prev = scratch[:, : hi - lo]
+            np.take(hs, prev[lo:hi], axis=0, out=h, mode="clip")
             np.multiply(n, n, out=s)
             np.subtract(1.0, s, out=s)
             np.multiply(d_new, s, out=dn)
             np.subtract(1.0, z, out=s)
-            dn *= s                        # d_new (1 - n^2) (1 - z)
-            np.subtract(h_prev[lo:hi], n, out=dz)
-            dz *= d_new
-            dz *= z
-            dz *= s                        # d_new (h - n) z (1 - z)
-            np.multiply(dn, un_h[lo:hi], out=dr)
-            dr *= r
+            dn *= s                        # d(W_n x) = d_new (1 - n^2) (1 - z)
+            np.multiply(d_new, z, out=d_prev)
+            h -= n
+            h *= d_new
+            h *= z
+            np.multiply(h, s, out=z)       # d(U_z h) = d_new (h - n) z (1 - z)
+            np.multiply(dn, r, out=n)      # d(U_n h) = dn r
+            np.multiply(dn, unh, out=h)
+            h *= r
             np.subtract(1.0, r, out=s)
-            dr *= s                        # dn (U_n h) r (1 - r)
-            np.multiply(dn, r, out=dnh)
+            np.multiply(h, s, out=r)       # d(U_r h) = dn (U_n h) r (1 - r)
+            unh[...] = dn
             u = uh[:, : hi - lo]
-            np.matmul(dgh[:, lo:hi], wh, out=u)
-            np.multiply(d_new, z, out=s)
-            s += u[0]
-            s += u[1]
-            s += u[2]
-            dh[prev[lo:hi]] += s           # a step's rows are distinct
-        dgx = (dgh[0], dgh[1], dn_x)          # d(loss)/d(W x) per gate
+            np.matmul(gates[:, lo:hi], wh, out=u)
+            d_prev += u[0]
+            d_prev += u[1]
+            d_prev += u[2]
+            dh[prev[lo:hi]] += d_prev      # a step's rows are distinct
+        dgx = (gates[0], gates[1], un_h)   # d(loss)/d(W x) per gate
+        dx = dgx[0] @ wx[0]
+        dx += dgx[1] @ wx[1]
+        dx += dgx[2] @ wx[2]
+        h_prev = np.take(hs, prev, axis=0, out=dh[bsz:], mode="clip")  # dh's pair rows are dead by now
         return (
-            dgx[0] @ wx[0] + dgx[1] @ wx[1] + dgx[2] @ wx[2],
+            dx,
             dh[:bsz],
             np.concatenate([d.T @ x.value for d in dgx]),
-            np.matmul(dgh.transpose(0, 2, 1), h_prev).reshape(3 * hd, hd),
+            np.matmul(gates.transpose(0, 2, 1), h_prev).reshape(3 * hd, hd),
             np.concatenate([d.sum(axis=0) for d in dgx]),
         )
 

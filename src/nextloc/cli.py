@@ -80,13 +80,14 @@ def _load_dataset(cfg: RunConfig):
     return vocab, users
 
 
-def _load_matching_checkpoint(cfg: RunConfig, path, mc: ModelConfig):
+def _load_matching_checkpoint(cfg: RunConfig, path, mc: ModelConfig, moments: bool):
     """Load a checkpoint made with the run config (same hash) whose tensors
     are the ones the model needs on the prepared data (same names and
-    shapes; the hash does not cover the data)."""
+    shapes; the hash does not cover the data). Without `moments` only the
+    parameter values are read, which is all inference needs."""
     if not Path(path).exists():
         raise CliError("missing-artifact", f"checkpoint {path} not found")
-    store, meta = load_checkpoint(path)
+    store, meta = load_checkpoint(path, moments=moments)
     want = config_hash(cfg)
     got = meta.get("config_hash")
     if got != want:
@@ -135,7 +136,7 @@ def cmd_train(cfg: RunConfig, resume: str | None) -> None:
     hyper = TrainHyper(cfg.learning_rate, cfg.batch_size, cfg.epochs, cfg.patience, cfg.clip_norm)
     initial, start_epoch = None, 0
     if resume:
-        initial, meta = _load_matching_checkpoint(cfg, resume, mc)
+        initial, meta = _load_matching_checkpoint(cfg, resume, mc, moments=True)
         start_epoch = int(meta.get("epoch", -1)) + 1
     out = _out(cfg)
 
@@ -171,7 +172,7 @@ def cmd_train(cfg: RunConfig, resume: str | None) -> None:
 def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> None:
     vocab, users = _load_dataset(cfg)
     mc = _model_config(cfg, vocab)
-    store, _meta = _load_matching_checkpoint(cfg, checkpoint, mc)
+    store, _meta = _load_matching_checkpoint(cfg, checkpoint, mc, moments=False)
     instances = make_instances(users, "test")
     report = ev.build_report(store, mc, users, instances, vocab=vocab)
     payload = {"config_hash": config_hash(cfg), "seed": cfg.seed, **report.to_json_dict()}
@@ -192,7 +193,7 @@ def _write_csv(path, header: str, columns: list[str], rows) -> None:
 def cmd_analyze(cfg: RunConfig, checkpoint: str) -> None:
     vocab, users = _load_dataset(cfg)
     mc = _model_config(cfg, vocab)
-    store, _meta = _load_matching_checkpoint(cfg, checkpoint, mc)
+    store, _meta = _load_matching_checkpoint(cfg, checkpoint, mc, moments=False)
     instances = make_instances(users, "test")
     preds = ev.predict(store, mc, instances, vocab=vocab)
     out = _out(cfg)
@@ -331,6 +332,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("diverged", e)
     except (ingest.IngestError, preprocess.PreprocessError, CheckpointError) as e:
         return _fail("pipeline", e)
+    except OSError as e:
+        return _fail("io", e)
     return 0
 
 

@@ -16,6 +16,14 @@ header declares against the bytes the file has, then reads each array
 straight into its final buffer. It raises `CheckpointError` for a header
 that is not such JSON, a negative tensor dimension, a tensor the rest of
 the file is too short for, or bytes after the last tensor.
+
+A loaded store has no gradient buffers: each parameter's `.grad` is None
+until the first `backward` that reaches it allocates one, and `grad_norm`,
+`clip_global_norm` and `adam_step` read None as a zero gradient. Stores
+built with `ParamStore.add` keep eagerly zeroed buffers. Inference needs
+only the values, so `load_checkpoint(path, moments=False)`, which `evaluate`
+and `analyze` use, reads the values and seeks past `m` and `v`; such a store
+refuses `adam_step` and `save_checkpoint`.
 """
 
 from __future__ import annotations
@@ -39,12 +47,15 @@ class CheckpointError(Exception):
 
 
 class _Entry:
+    """A parameter and its Adam moments; `m` and `v` are None in a store
+    loaded without them."""
+
     __slots__ = ("tensor", "m", "v")
 
-    def __init__(self, tensor: Tensor, m: np.ndarray | None = None, v: np.ndarray | None = None):
+    def __init__(self, tensor: Tensor, m: np.ndarray | None, v: np.ndarray | None):
         self.tensor = tensor
-        self.m = np.zeros_like(tensor.value) if m is None else m
-        self.v = np.zeros_like(tensor.value) if v is None else v
+        self.m = m
+        self.v = v
 
 
 def _fan_in(shape) -> int:
@@ -75,7 +86,18 @@ class ParamStore:
         else:
             raise ValueError(f"unknown init {init!r}")
         t = Tensor(value, requires_grad=True)
-        self.entries[name] = _Entry(t)
+        self.entries[name] = _Entry(t, np.zeros_like(t.value), np.zeros_like(t.value))
+        return t
+
+    def adopt(self, name: str, value: np.ndarray, m: np.ndarray | None, v: np.ndarray | None) -> Tensor:
+        """Add parameter `name` holding `value` itself (no copy), with Adam
+        moments `m` and `v` or none; its gradient buffer is left to the
+        first `backward` that reaches it."""
+        if name in self.entries:
+            raise ValueError(f"duplicate parameter {name!r}")
+        t = Tensor(value)
+        t.requires_grad = True
+        self.entries[name] = _Entry(t, m, v)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -91,8 +113,16 @@ class ParamStore:
         for e in self.entries.values():
             e.tensor.zero_grad()
 
+    def _grads(self) -> list[np.ndarray]:
+        """The allocated gradient buffers; a None `.grad` is a zero gradient."""
+        return [e.tensor.grad for e in self.entries.values() if e.tensor.grad is not None]
+
+    def _require_moments(self, what: str) -> None:
+        if any(e.m is None for e in self.entries.values()):
+            raise CheckpointError(f"cannot {what}: the store was loaded without its Adam moments (values only)")
+
     def grad_norm(self) -> float:
-        sq = sum(float((e.tensor.grad ** 2).sum()) for e in self.entries.values())
+        sq = sum(float((g ** 2).sum()) for g in self._grads())
         return float(np.sqrt(sq))
 
     def clip_global_norm(self, max_norm: float) -> float:
@@ -100,8 +130,8 @@ class ParamStore:
         norm = self.grad_norm()
         if norm > max_norm:
             scale = max_norm / norm
-            for e in self.entries.values():
-                e.tensor.grad *= scale
+            for g in self._grads():
+                g *= scale
         return norm
 
     def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
@@ -112,11 +142,15 @@ class ParamStore:
         in place: the gradient buffer holds (1 - b1) g and then the update,
         and one scratch block the other temporaries. Each tensor is updated
         `ADAM_BLOCK` elements at a time, so the five arrays of a block stay
-        in cache across the fourteen operations."""
+        in cache across the fourteen operations. A parameter that no
+        `backward` has reached gets its zeroed gradient buffer here."""
+        self._require_moments("run Adam")
         self.step += 1
         t = self.step
         c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
         for e in self.entries.values():
+            if e.tensor.grad is None:
+                e.tensor.grad = np.zeros_like(e.tensor.value)
             value, m, v, grad = (a.reshape(-1) for a in (e.tensor.value, e.m, e.v, e.tensor.grad))
             for lo in range(0, grad.size, ADAM_BLOCK):
                 hi = lo + ADAM_BLOCK
@@ -151,6 +185,7 @@ def _preallocate(fh, size: int) -> None:
 
 
 def save_checkpoint(path, store: ParamStore, meta: dict | None = None) -> None:
+    store._require_moments("save a checkpoint")
     names = store.names()
     header = {
         "version": 1,
@@ -179,7 +214,9 @@ def save_checkpoint(path, store: ParamStore, meta: dict | None = None) -> None:
         raise
 
 
-def load_checkpoint(path) -> tuple[ParamStore, dict]:
+def load_checkpoint(path, moments: bool = True) -> tuple[ParamStore, dict]:
+    """The store and meta of a checkpoint; with `moments=False` the store
+    holds the values only, for inference."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != CHECKPOINT_MAGIC:
@@ -211,9 +248,12 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
         store = ParamStore(seed=seed)
         store.step = step
         for name, shape in specs:
-            arrays = [np.empty(shape, dtype="<f8") for _ in range(3)]
+            arrays = [np.empty(shape, dtype="<f8") for _ in range(3 if moments else 1)]
             for arr in arrays:
                 if fh.readinto(arr) != arr.nbytes:
                     raise CheckpointError(f"{path}: truncated tensor {name}")
-            store.entries[name] = _Entry(Tensor(arrays[0], requires_grad=True), arrays[1], arrays[2])
+            if not moments:
+                fh.seek(2 * arrays[0].nbytes, os.SEEK_CUR)
+                arrays += [None, None]
+            store.adopt(name, *arrays)
     return store, meta

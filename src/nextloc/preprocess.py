@@ -322,7 +322,9 @@ VOCAB_MAGIC = "#nextloc-vocab\tv1"
 def save_processed(path, vocab: Vocab, users: list[SessionizedUser], header_lines: list[str] = ()) -> None:
     """Tagged plain-text layout. `U` starts a user block, `S` a session block,
     and `R` lines carry the canonical record columns (user key, location key,
-    category id, lat, lon, utc seconds, tz offset minutes)."""
+    category id, lat, lon, utc seconds, tz offset minutes). The category id
+    is the vocabulary's `cat_raw_id`, numbered over the filtered records, so
+    it can differ from the one `canonical.txt` gives the same record."""
     coord_text = [f"{lat!r}\t{lon!r}" for lat, lon in vocab.loc_coord]
     raw_cat = vocab.cat_raw_id + [-1]  # category -1 picks -1
     with open(path, "w", encoding="utf-8") as fh:

@@ -26,7 +26,7 @@ class TrainingDiverged(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainingInstance:
     user_index: int
     history: list[SessRecord]   # all records of sessions before the current one
@@ -158,13 +158,12 @@ class FitResult:
 
 
 def _clone(store: ParamStore) -> ParamStore:
+    """A copy of the values, Adam moments and step counter, without
+    gradient buffers."""
     out = ParamStore(store.seed)
     out.step = store.step
-    for name in store.names():
-        t = out.add(name, store[name].value.shape, init="zeros")
-        t.value[...] = store[name].value
-        out.entries[name].m[...] = store.entries[name].m
-        out.entries[name].v[...] = store.entries[name].v
+    for name, e in store.entries.items():
+        out.adopt(name, e.tensor.value.copy(), e.m.copy(), e.v.copy())
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,78 @@ def test_constant_h0_takes_no_gradient():
     assert h0.grad is None
     for p in (x, w.w_x, w.w_h, w.bias):
         assert p.grad.any()
+
+
+def long_chain(bsz=4, steps=500, d_in=8, hd=64):
+    """A GRU over many more (row, step) pairs than rows: N = bsz * steps."""
+    rng = np.random.default_rng(7)
+    pack = full(bsz, steps)
+    x = ad.constant(rng.normal(size=(pack.size, d_in)))
+    return x, ad.constant(rng.normal(size=(bsz, hd))), random_gru(rng, d_in, hd), pack
+
+
+def traced_bytes(work):
+    """(bytes still held after `work()`, peak bytes above the start during
+    it, its result), as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = work()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held - start, peak - start, out
+
+
+SLACK = 64 * 1024  # graph nodes, closures and small index arrays
+
+
+def test_gru_forward_keeps_gates_states_and_un_h_only():
+    x, h0, w, pack = long_chain()
+    n, bsz, hd = pack.size, pack.batch, w.hidden
+    held, _, _ = traced_bytes(lambda: ad.gru_sequence(x, h0, w, pack))
+    # (3N) gates + (B + N) states + (N) U_n h, and the (B, H) final states
+    assert held <= 8 * ((5 * n + bsz) * hd + bsz * hd) + SLACK
+
+
+def test_gru_backward_allocates_the_state_gradient_and_dx_only():
+    x, h0, w, pack = long_chain()
+    n, bsz, hd, d_in = pack.size, pack.batch, w.hidden, x.shape[1]
+    _, seq = ad.gru_sequence(x, h0, w, pack)
+    loss = ad.total(seq)
+    _, peak, _ = traced_bytes(lambda: backward(loss))
+    weights = w.w_x.value.size + w.w_h.value.size + w.bias.value.size
+    # dh (B + N, H), dx and one (N, in) product being added to it, each
+    # weight gradient and its parts, and (B, H) scratch per step
+    assert peak <= 8 * ((bsz + n) * hd + 2 * n * d_in + 2 * weights + 8 * bsz * hd) + SLACK
+
+
+def test_second_backward_through_a_gru_graph_raises_and_changes_no_gradient():
+    rng = np.random.default_rng(8)
+    w = random_gru(rng, 3, 4)
+    pack = ad.Packing(RAGGED)
+    x, h0 = ad.parameter(pack.gather(rng.normal(size=(4, 4, 3)))), ad.parameter(rng.normal(size=(4, 4)))
+    head_w, head_b = ad.parameter(rng.normal(size=(2, 4))), ad.parameter(rng.normal(size=2))
+    last, seq = ad.gru_sequence(x, h0, w, pack)
+    loss = ad.add(ad.total(ad.affine(last, head_w, head_b)), ad.total(seq))
+    backward(loss)
+    params = [x, h0, w.w_x, w.w_h, w.bias, head_w, head_b]
+    before = [p.grad.copy() for p in params]
+    with pytest.raises(GradError, match="already backpropagated"):
+        backward(loss)
+    for p, g in zip(params, before):
+        assert np.array_equal(p.grad, g)
+
+
+def test_first_contribution_to_an_unallocated_gradient_adds_to_zeros():
+    eager = ad.parameter(np.zeros(3))
+    lazy = ParamStore(seed=0).adopt("p", np.zeros(3), None, None)
+    assert lazy.requires_grad and lazy.grad is None
+    for p in (eager, lazy):
+        backward(ad.total(ad.cmul(p, np.array([-0.0, 1.0, -2.0]))))
+    assert np.array_equal(lazy.grad, eager.grad) and not np.signbit(lazy.grad[0])  # 0.0 + -0.0 is 0.0
+    backward(ad.total(ad.cmul(lazy, np.array([-0.0, 1.0, -2.0]))))
+    assert np.array_equal(lazy.grad, [0.0, 2.0, -4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +736,47 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
         assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
     save_checkpoint(tmp_path / "again.ckpt", loaded, meta)
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_loaded_store_has_no_gradient_buffers_and_reads_them_as_zero(tmp_path):
+    store, path = saved_store(tmp_path)
+    loaded, _ = load_checkpoint(path)
+    assert all(loaded[n].grad is None and loaded[n].requires_grad for n in loaded.names())
+    assert loaded.grad_norm() == 0.0 == store.grad_norm()
+    assert loaded.clip_global_norm(1.0) == 0.0
+    for s in (store, loaded):
+        s.adam_step(lr=0.01)
+    for n in store.names():
+        a, b = store.entries[n], loaded.entries[n]
+        assert np.array_equal(a.tensor.value, b.tensor.value)
+        assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
+        assert np.array_equal(a.tensor.grad, b.tensor.grad)
+
+
+def test_values_only_load_skips_the_moments_and_refuses_training(tmp_path):
+    store, path = saved_store(tmp_path)
+    loaded, meta = load_checkpoint(path, moments=False)
+    assert meta == {"epoch": 2} and loaded.step == store.step and loaded.seed == store.seed
+    assert loaded.names() == store.names()
+    for n in store.names():
+        e = loaded.entries[n]
+        assert np.array_equal(e.tensor.value, store[n].value) and e.tensor.value.flags.writeable
+        assert e.m is None and e.v is None and e.tensor.grad is None
+    with pytest.raises(CheckpointError, match="without its Adam moments"):
+        save_checkpoint(tmp_path / "again.ckpt", loaded, meta)
+    assert not list(tmp_path.glob("*again.ckpt*"))
+    with pytest.raises(CheckpointError, match="without its Adam moments"):
+        loaded.adam_step(lr=0.01)
+    assert loaded.step == store.step
+    for n in store.names():
+        assert np.array_equal(loaded[n].value, store[n].value)
+
+
+def test_values_only_load_checks_the_declared_sizes(tmp_path):
+    _, path = saved_store(tmp_path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(CheckpointError, match="truncated tensor b"):
+        load_checkpoint(path, moments=False)
 
 
 def test_checkpoint_with_truncated_final_tensor_rejected(tmp_path):

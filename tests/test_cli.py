@@ -187,6 +187,15 @@ def test_gowalla_tz_offset_out_of_range_rejected(tmp_path, capsys, offset):
     assert line.startswith("nextloc-error: config-invalid: gowalla_tz_offset_minutes: must be within [-1440, 1440]")
 
 
+def test_prepare_with_output_dir_below_a_file_fails_in_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    (tmp_path / "plain").write_text("not a directory\n")
+    rc = main(["prepare", "--config", str(cfg), "--set", f"output_dir={tmp_path / 'plain' / 'out'}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert single_error_line(err).startswith("nextloc-error: io:") and len(err.splitlines()) == 1
+
+
 def test_missing_output_dir_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epochs = 3\n")
@@ -239,6 +248,14 @@ def test_evaluate_missing_checkpoint(trained, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "missing-artifact" in err and "nope.ckpt" in err
+
+
+def test_evaluate_with_a_directory_as_checkpoint_fails_in_one_line(trained, capsys):
+    tmp_path, cfg = trained
+    rc = main(["evaluate", "--config", str(cfg), "--checkpoint", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert single_error_line(err).startswith("nextloc-error: io:") and len(err.splitlines()) == 1
 
 
 def test_evaluate_refuses_mismatched_config(trained, capsys):

@@ -229,6 +229,21 @@ def test_fit_returns_best_epoch_params():
     assert result.history[result.best_epoch].recall[1] == best
 
 
+def test_best_epoch_clone_copies_values_and_moments_without_gradient_buffers():
+    vocab, users = corpus()
+    cfg = small_config(vocab)
+    store = build_params(cfg, seed=7)
+    train_epoch(store, cfg, make_instances(users, "train")[:16], LossWeights(), TrainHyper(batch_size=16), vocab,
+                np.random.default_rng(0))
+    clone = trainer._clone(store)
+    assert clone.names() == store.names() and clone.step == store.step == 1
+    for n in store.names():
+        a, b = store.entries[n], clone.entries[n]
+        assert b.tensor.grad is None and b.tensor.requires_grad
+        for x, y in ((a.tensor.value, b.tensor.value), (a.m, b.m), (a.v, b.v)):
+            assert np.array_equal(x, y) and not np.shares_memory(x, y)
+
+
 def test_checkpoint_resume_reproduces_trace(tmp_path):
     vocab, users = corpus()
     cfg = small_config(vocab)
