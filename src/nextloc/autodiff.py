@@ -6,17 +6,18 @@ value to one contribution per parent: an array of that parent's shape, or
 None for no contribution. `backward` replays the closures in reverse
 topological order and is the only place where gradients are summed. A
 parameter's contributions are added straight into its `.grad`, so repeated
-calls without `zero_grad` add up; an interior node's are summed into a new
-array before its own closure runs; a constant's are dropped. A contribution
-whose shape differs from its parent's raises `GradError`. A closure may
-return views of `g`, or one array for two parents, so neither `g` nor a
-returned contribution is ever modified in place.
+calls add up until the buffer is released; an interior node's are summed
+into a new array before its own closure runs; a constant's are dropped. A
+contribution whose shape differs from its parent's raises `GradError`. A
+closure may return views of `g`, or one array for two parents, so neither
+`g` nor a returned contribution is ever modified in place.
 
-A parameter's `.grad` may be None until its first contribution: `backward`
-then allocates zeros and adds the contribution to them, so the sum is the
-same bit for bit as with an eagerly zeroed buffer (-0.0 included).
-`parameter` still zeroes eagerly; loaded and cloned parameter stores leave
-the buffer to `backward`.
+A parameter's `.grad` is None until a `backward` first reaches it: that
+call allocates zeros and adds the contribution to them, so every sum is the
+same bit for bit as with a zeroed buffer (-0.0 included). Nothing else
+allocates gradient buffers, and `ParamStore.adam_step` (or `zero_grad`)
+releases them, so in training they exist only from a step's `backward` to
+its update.
 
 A graph holding a `gru_sequence` node can be backpropagated once: that
 node's backward writes its gate gradients over the gate buffers the forward
@@ -35,9 +36,9 @@ padding is never embedded, run or stored. `gru_sequence` runs a whole GRU
 chain over a packed sequence as one node, with the input projection hoisted
 out of the recurrence, gate-major (3, N, H) gate buffers so each step's gate
 math runs on contiguous blocks, and hand-written backpropagation through
-time over the same blocks. `embedding`, `concat_cols` and `affine` build the
-chains' inputs and the heads; `softmax_xent`, `circular_abs`, `cmul`,
-`smul`, `add` and `mean` build the loss.
+time over the same blocks. `concat_embeddings` builds the chains' inputs,
+one node per sequence; `concat_cols` and `affine` build the heads, and
+`softmax_xent`, `circular_abs`, `cmul`, `smul`, `add` and `mean` the loss.
 
 Conventions: sequences are packed time-major (N, dim); weight matrices are
 (out, in) and applied as ``x @ W.T``; no general broadcasting.
@@ -79,15 +80,11 @@ class Tensor:
         self.parents = parents
         self._backward = backward
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.value) if requires_grad else None
+        self.grad = None
 
     @property
     def shape(self):
         return self.value.shape
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
 
 def constant(value) -> Tensor:
@@ -217,19 +214,34 @@ def concat_cols(xs: list[Tensor]) -> Tensor:
     return Tensor(np.concatenate([x.value for x in xs], axis=-1), parents=tuple(xs), backward=bw)
 
 
-def embedding(table: Tensor, idx) -> Tensor:
-    """Rows of `table` at an integer index array of any shape, giving
-    idx.shape + (dim,); the gradient scatters back into the rows."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.value.shape[0]):
-        raise GradError(f"embedding index out of range for table {table.shape}")
+def concat_embeddings(lookups: list[tuple[Tensor, np.ndarray]]) -> Tensor:
+    """The rows of each table at its integer index array, concatenated along
+    the last axis in `lookups` order: one node of shape idx.shape + (sum of
+    the tables' widths,), written block by block with no per-table node.
+    The index arrays must share one shape. The backward scatters each
+    column block of the gradient into its table's rows."""
+    tables = tuple(t for t, _ in lookups)
+    idxs = [np.asarray(i, dtype=np.intp) for _, i in lookups]
+    shape = idxs[0].shape
+    for t, i in zip(tables, idxs):
+        if i.shape != shape:
+            raise GradError(f"embedding index arrays differ in shape: {i.shape} vs {shape}")
+        if i.size and (i.min() < 0 or i.max() >= t.value.shape[0]):
+            raise GradError(f"embedding index out of range for table {t.shape}")
+    offsets = np.cumsum([0] + [t.value.shape[1] for t in tables])
+    out = np.empty(shape + (offsets[-1],))
+    for t, i, lo, hi in zip(tables, idxs, offsets[:-1], offsets[1:]):
+        out[..., lo:hi] = t.value[i]
 
     def bw(g):
-        dt = np.zeros_like(table.value)
-        np.add.at(dt, idx, g)
-        return (dt,)
+        grads = []
+        for t, i, lo, hi in zip(tables, idxs, offsets[:-1], offsets[1:]):
+            dt = np.zeros_like(t.value)
+            np.add.at(dt, i, g[..., lo:hi])
+            grads.append(dt)
+        return grads
 
-    return Tensor(table.value[idx], parents=(table,), backward=bw)
+    return Tensor(out, parents=tables, backward=bw)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -357,7 +369,9 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
     """Run one GRU from h0 (B, H) over x (N, in), the inputs of `pack`'s real
     pairs. Returns the final state of every row (B, H), and the state after
     every pair, packed (N, H). A row without real pairs ends in its h0 row;
-    with no pairs at all the final state is h0 itself.
+    with no pairs at all the final states are h0's, and the weights take a
+    zero gradient, so that every weight holds a gradient after a backward,
+    also when a batch has no history.
 
     Each step computes z = sig(Wz x + Uz h + bz), r = sig(Wr x + Ur h + br),
     n = tanh(Wn x + r * (Un h) + bn) and h' = (1 - z) * n + z * h on the rows
@@ -383,6 +397,12 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
     bias gradients are one product or sum per gate over all pairs, and `dx`
     is one (N, in) product per gate. Having overwritten its buffers, the
     node can be backpropagated only once.
+
+    The final states are a node over `seq`, the GRU's node. Its backward
+    keeps its (B, H) gradient for the BPTT, which adds it into the state
+    gradient's rows that hold each batch row's final state, and hands `seq`
+    a broadcast zero, so that `seq` runs after it: no (N, H) array carries
+    the final-state gradient.
     """
     bsz, n_pairs, hd = pack.batch, pack.size, w.hidden
     if (x.value.ndim != 2 or x.value.shape[0] != n_pairs or h0.value.shape != (bsz, hd)
@@ -391,7 +411,11 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
         raise GradError(f"gru_sequence shape mismatch: x {x.shape} for {n_pairs} pairs, h0 {h0.shape}, "
                         f"w_x {w.w_x.shape}")
     if n_pairs == 0:
-        return h0, constant(np.zeros((0, hd)))
+        def bw_empty(g):
+            return g, np.zeros_like(w.w_x.value), np.zeros_like(w.w_h.value), np.zeros_like(w.bias.value)
+
+        final = Tensor(h0.value, parents=(h0, w.w_x, w.w_h, w.bias), backward=bw_empty)
+        return final, constant(np.zeros((0, hd)))
     d_in = x.value.shape[1]
     off, prev = pack.off, pack.prev
     record = _grad_enabled
@@ -432,10 +456,17 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
         zh = np.multiply(z, h, out=tmp)
         h_new += zh
 
+    last = pack.last
+    last_grad = None  # the gradient the final states received, for the BPTT below
+
     @_single_use
     def bw_seq(g):
+        nonlocal last_grad
         dh = np.zeros((bsz + n_pairs, hd))  # d(loss)/d(state), h0 rows first
         dh[bsz:] = g
+        if last_grad is not None:
+            dh[last] += last_grad          # distinct rows; a row without pairs ends in its h0 row
+            last_grad = None
         uh = np.empty((3, bsz, hd))
         scratch = np.empty((4, bsz, hd))
         for t in reversed(range(pack.steps)):
@@ -482,12 +513,10 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
         )
 
     seq = Tensor(hs[bsz:], parents=(x, h0, w.w_x, w.w_h, w.bias), backward=bw_seq)
-    last = pack.last
-    ended = last >= bsz  # rows with real pairs; the others end in h0
 
     def bw_last(g):
-        dseq = np.zeros_like(seq.value)
-        dseq[last[ended] - bsz] = g[ended]
-        return dseq, None if ended.all() else np.where(ended[:, None], 0.0, g)
+        nonlocal last_grad
+        last_grad = g
+        return (np.broadcast_to(0.0, seq.shape),)  # so that `seq`, its parent, runs after it
 
-    return Tensor(hs[last], parents=(seq, h0), backward=bw_last), seq
+    return Tensor(hs[last], parents=(seq,), backward=bw_last), seq

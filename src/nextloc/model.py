@@ -214,16 +214,16 @@ def gru_weights(store: ParamStore, prefix: str) -> GRUWeights:
 def embed_step(store: ParamStore, cfg: ModelConfig, loc, cat, hour, day, user, pack: ad.Packing) -> Tensor:
     """Embeddings of the real records of (B, T) index arrays, e_loc + e_cat +
     e_hour + e_day + e_user concatenated in that order, packed in `pack`'s
-    order: (N, dim_record). `user` (B,) gives each row's user."""
+    order: one (N, dim_record) graph node. `user` (B,) gives each row's user."""
     loc = pack.gather(loc)
     cat_idx = pack.gather(cat) if cfg.has_categories else np.zeros(loc.shape, dtype=np.intp)
-    return ad.concat_cols(
+    return ad.concat_embeddings(
         [
-            ad.embedding(store["emb.loc"], loc),
-            ad.embedding(store["emb.cat"], cat_idx),
-            ad.embedding(store["emb.hour"], pack.gather(hour)),
-            ad.embedding(store["emb.day"], pack.gather(day)),
-            ad.embedding(store["emb.user"], np.asarray(user)[pack.rows]),
+            (store["emb.loc"], loc),
+            (store["emb.cat"], cat_idx),
+            (store["emb.hour"], pack.gather(hour)),
+            (store["emb.day"], pack.gather(day)),
+            (store["emb.user"], np.asarray(user)[pack.rows]),
         ]
     )
 

@@ -45,7 +45,9 @@ class LossBreakdown:
 
 def spatial_coefficients(loc_logits: np.ndarray, target_loc: np.ndarray, loc_coord) -> np.ndarray:
     """Distance (km) from each row's argmax-predicted location to its true
-    location; exactly 0 where the argmax is already correct."""
+    location; exactly 0 where the argmax is already correct. `loc_coord`
+    holds (lat, lon) per location; passing it as a float64 array spares a
+    conversion per call."""
     pred = loc_logits.argmax(axis=1)
     coords = np.asarray(loc_coord, dtype=np.float64)
     d = haversine_vec(coords[pred, 0], coords[pred, 1], coords[target_loc, 0], coords[target_loc, 1])

@@ -17,13 +17,14 @@ straight into its final buffer. It raises `CheckpointError` for a header
 that is not such JSON, a negative tensor dimension, a tensor the rest of
 the file is too short for, or bytes after the last tensor.
 
-A loaded store has no gradient buffers: each parameter's `.grad` is None
-until the first `backward` that reaches it allocates one, and `grad_norm`,
-`clip_global_norm` and `adam_step` read None as a zero gradient. Stores
-built with `ParamStore.add` keep eagerly zeroed buffers. Inference needs
-only the values, so `load_checkpoint(path, moments=False)`, which `evaluate`
-and `analyze` use, reads the values and seeks past `m` and `v`; such a store
-refuses `adam_step` and `save_checkpoint`.
+A parameter has a gradient buffer only from the first `backward` of a
+training step that reaches it until that step's `adam_step`, which releases
+it once the update is written; between steps, and in a built, loaded or
+cloned store, every `.grad` is None. `grad_norm`, `clip_global_norm` and
+`adam_step` read None as a zero gradient. Inference needs only the values,
+so `load_checkpoint(path, moments=False)`, which `evaluate` and `analyze`
+use, reads the values and seeks past `m` and `v`; such a store refuses
+`adam_step` and `save_checkpoint`.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class ParamStore:
 
     def add(self, name: str, shape, init: str = "fanin") -> Tensor:
         if name in self.entries:
-            raise ValueError(f"duplicate parameter {name!r}")
+            raise ValueError(f"duplicate parameter {name!r}")  # before the draw, which would shift later ones
         shape = tuple(int(d) for d in shape)
         if init == "fanin":
             bound = 1.0 / np.sqrt(_fan_in(shape))
@@ -85,18 +86,14 @@ class ParamStore:
             value = np.zeros(shape)
         else:
             raise ValueError(f"unknown init {init!r}")
-        t = Tensor(value, requires_grad=True)
-        self.entries[name] = _Entry(t, np.zeros_like(t.value), np.zeros_like(t.value))
-        return t
+        return self.adopt(name, value, np.zeros_like(value), np.zeros_like(value))
 
     def adopt(self, name: str, value: np.ndarray, m: np.ndarray | None, v: np.ndarray | None) -> Tensor:
         """Add parameter `name` holding `value` itself (no copy), with Adam
-        moments `m` and `v` or none; its gradient buffer is left to the
-        first `backward` that reaches it."""
+        moments `m` and `v` or none."""
         if name in self.entries:
             raise ValueError(f"duplicate parameter {name!r}")
-        t = Tensor(value)
-        t.requires_grad = True
+        t = Tensor(value, requires_grad=True)
         self.entries[name] = _Entry(t, m, v)
         return t
 
@@ -110,8 +107,9 @@ class ParamStore:
         return list(self.entries)
 
     def zero_grad(self) -> None:
+        """Release every gradient buffer; the next `backward` starts from zero."""
         for e in self.entries.values():
-            e.tensor.zero_grad()
+            e.tensor.grad = None
 
     def _grads(self) -> list[np.ndarray]:
         """The allocated gradient buffers; a None `.grad` is a zero gradient."""
@@ -135,23 +133,24 @@ class ParamStore:
         return norm
 
     def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-        """Bias-corrected Adam update; zeroes gradients and bumps the step.
+        """Bias-corrected Adam update; releases the gradients and bumps the
+        step.
 
         Computes m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
         value -= (lr m_hat) / (sqrt(v_hat) + eps) in that operation order,
         in place: the gradient buffer holds (1 - b1) g and then the update,
         and one scratch block the other temporaries. Each tensor is updated
         `ADAM_BLOCK` elements at a time, so the five arrays of a block stay
-        in cache across the fourteen operations. A parameter that no
-        `backward` has reached gets its zeroed gradient buffer here."""
+        in cache across the fourteen operations. A parameter whose `.grad`
+        is None is updated with a zeroed buffer. Every `.grad` is None
+        afterwards."""
         self._require_moments("run Adam")
         self.step += 1
         t = self.step
         c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
         for e in self.entries.values():
-            if e.tensor.grad is None:
-                e.tensor.grad = np.zeros_like(e.tensor.value)
-            value, m, v, grad = (a.reshape(-1) for a in (e.tensor.value, e.m, e.v, e.tensor.grad))
+            grad = e.tensor.grad if e.tensor.grad is not None else np.zeros_like(e.tensor.value)
+            value, m, v, grad = (a.reshape(-1) for a in (e.tensor.value, e.m, e.v, grad))
             for lo in range(0, grad.size, ADAM_BLOCK):
                 hi = lo + ADAM_BLOCK
                 g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
@@ -170,7 +169,7 @@ class ParamStore:
                 tmp += eps
                 g /= tmp
                 value[lo:hi] -= g
-                g.fill(0.0)
+            e.tensor.grad = None
 
 
 def _preallocate(fh, size: int) -> None:

@@ -118,6 +118,7 @@ def train_epoch(
     if not instances:
         raise ValueError("no training instances")
     w = effective_weights(cfg, weights)
+    loc_coord = np.asarray(vocab.loc_coord, dtype=np.float64)
     order = rng.permutation(len(instances))
     sums = np.zeros(5)
     for start in range(0, len(order), hyper.batch_size):
@@ -125,7 +126,7 @@ def train_epoch(
         batch = batchify([instances[i] for i in chunk])
         with np.errstate(all="ignore"):  # overflow surfaces as the non-finite loss checked below
             state = forward(store, cfg, batch)
-            node, bd = total_loss(state, batch.target_t, batch.target_cat, batch.target_loc, w, vocab.loc_coord)
+            node, bd = total_loss(state, batch.target_t, batch.target_cat, batch.target_loc, w, loc_coord)
         if not np.isfinite(bd.total):
             norms = {n: float(np.abs(store[n].value).max()) for n in store.names()}
             worst = sorted(norms, key=norms.get, reverse=True)[:5]

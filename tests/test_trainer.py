@@ -6,7 +6,7 @@ import pytest
 from nextloc import trainer
 from nextloc.model import ModelConfig, build_params, forward
 from nextloc.objective import LossWeights
-from nextloc.params import load_checkpoint, save_checkpoint
+from nextloc.params import ParamStore, load_checkpoint, save_checkpoint
 from nextloc.preprocess import Session, SessionizedUser, SessRecord
 from nextloc.synth import weekly_schedule_corpus
 from nextloc.trainer import (
@@ -102,6 +102,26 @@ def test_single_batch_means_one_adam_step():
     hyper = TrainHyper(learning_rate=1e-3, batch_size=10_000, epochs=1)
     train_epoch(store, cfg, instances, LossWeights(), hyper, vocab, np.random.default_rng(0))
     assert store.step == 1
+
+
+def test_gradient_buffers_exist_only_from_backward_to_adam(monkeypatch):
+    vocab, users = corpus()
+    cfg = small_config(vocab)
+    store = build_params(cfg, seed=0)
+    assert all(store[n].grad is None for n in store.names())
+    real_adam = ParamStore.adam_step
+    allocated = []  # parameters holding a gradient buffer as each step's Adam starts, and after it
+
+    def tracked_adam(self, *args, **kwargs):
+        before = sum(self[n].grad is not None for n in self.names())
+        real_adam(self, *args, **kwargs)
+        allocated.append((before, sum(self[n].grad is not None for n in self.names())))
+
+    monkeypatch.setattr(ParamStore, "adam_step", tracked_adam)
+    hyper = TrainHyper(learning_rate=1e-3, batch_size=4, epochs=1)
+    train_epoch(store, cfg, make_instances(users, "train"), LossWeights(), hyper, vocab, np.random.default_rng(0))
+    assert store.step >= 3 and allocated == [(len(store.names()), 0)] * store.step
+    assert all(store[n].grad is None for n in store.names())
 
 
 def test_each_step_graph_is_freed_before_the_next_forward(monkeypatch):
