@@ -133,7 +133,10 @@ def backward(loss: Tensor) -> None:
             node.grad += c
         elif node._backward is not None:
             prior = grads.get(id(node))
-            grads[id(node)] = c if prior is None else prior + c  # never in place: c may be shared
+            if prior is None or _is_broadcast_zero(prior):
+                grads[id(node)] = c
+            elif not _is_broadcast_zero(c):
+                grads[id(node)] = prior + c  # never in place: c may be shared
 
     receive(loss, np.ones_like(loss.value))
     for node in reversed(order):
@@ -145,6 +148,12 @@ def backward(loss: Tensor) -> None:
             for parent, c in zip(node.parents, bw(g), strict=True):
                 if c is not None:
                     receive(parent, c)
+
+
+def _is_broadcast_zero(a: np.ndarray) -> bool:
+    """Whether `a` is one stored 0 broadcast to its shape, as a GRU's
+    final-state node hands its states: a contribution that adds nothing."""
+    return a.size > 0 and not any(a.strides) and a.flat[0] == 0.0
 
 
 def _spent(g):

@@ -39,25 +39,49 @@ def rank_locations(loc_logits: np.ndarray, topn: int) -> np.ndarray:
     return np.argsort(-loc_logits, axis=1, kind="stable")[:, :topn]
 
 
+# Real history-plus-prefix steps per `predict` batch. It keeps the median
+# 256-instance test batch of the NYC-shaped benchmark file (45,424 steps) in
+# one batch, and caps the recurrent state of a batch whatever its users'
+# history lengths: that file's worst 256 consecutive test instances hold
+# 492,772 steps.
+EVAL_MAX_STEPS = 50_000
+
+
+def step_batches(instances: list[TrainingInstance], max_steps: int = EVAL_MAX_STEPS):
+    """Consecutive runs of `instances`, in order, each holding at most
+    `max_steps` real history-plus-prefix steps, except that an instance
+    over the budget runs alone. No instance is split."""
+    start, steps = 0, 0
+    for i, inst in enumerate(instances):
+        n = len(inst.history) + len(inst.prefix)
+        if i > start and steps + n > max_steps:
+            yield instances[start:i]
+            start, steps = i, 0
+        steps += n
+    if start < len(instances):
+        yield instances[start:]
+
+
 def predict(
     store: ParamStore,
     cfg: ModelConfig,
     instances: list[TrainingInstance],
     vocab: Vocab | None = None,
     topn: int = 10,
-    batch_size: int = 256,
+    max_steps: int = EVAL_MAX_STEPS,
 ) -> Predictions:
     """Ranked location (and, when available, category) predictions.
 
     Variants without a category head get category rankings derived from the
     predicted locations' categories, when `vocab` carries categories. The
-    forward pass records no graph.
+    forward pass records no graph, and runs over `step_batches` of at most
+    `max_steps` real steps, so its memory follows the budget, not the
+    longest histories.
     """
     ranked, cats = [], []
-    for start in range(0, len(instances), batch_size):
-        batch = batchify(instances[start : start + batch_size])
+    for chunk in step_batches(instances, max_steps):
         with ad.no_grad():
-            state = forward(store, cfg, batch)
+            state = forward(store, cfg, batchify(chunk))
         ranked.append(rank_locations(state.loc_logits.value, topn))
         if state.cat_logits is not None:
             k = min(topn, state.cat_logits.value.shape[1])

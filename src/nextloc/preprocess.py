@@ -39,7 +39,7 @@ class SessRecord(NamedTuple):
     tz: int             # tz offset minutes (kept so features can be recomputed)
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     week_id: int        # iso_year * 100 + iso_week of the local timestamp
     records: list[SessRecord]
@@ -358,8 +358,11 @@ def save_vocab(path, vocab: Vocab, header_lines: list[str] = ()) -> None:
 
 def load_vocab(path) -> Vocab:
     """Read a `save_vocab` file, checking that each line's index is its
-    position among the lines of its tag."""
+    position among the lines of its tag, that each location's lat and lon
+    are finite and in range, and that its category index is -1 or one of
+    the file's categories."""
     user_key, loc_key, cat_name, cat_raw_id, loc_coord, loc_cat = [], [], [], [], [], []
+    loc_lines: list[int] = []
     keys = {"USER": user_key, "LOC": loc_key, "CAT": cat_name}
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
@@ -378,6 +381,10 @@ def load_vocab(path) -> Vocab:
                     key = rest[1]
                 elif tag == "LOC":
                     key, coord, cat = rest[1], (float(rest[2]), float(rest[3])), int(rest[4])
+                    problem = _coordinate_problem("lat", coord[0], rest[2]) or _coordinate_problem(
+                        "lon", coord[1], rest[3])
+                    if problem:
+                        raise PreprocessError(f"{path}:{lineno}: LOC line {problem}")
                 else:
                     raw_id, key = int(rest[1]), rest[2]
             except (IndexError, ValueError):
@@ -388,8 +395,14 @@ def load_vocab(path) -> Vocab:
             if tag == "LOC":
                 loc_coord.append(coord)
                 loc_cat.append(cat)
+                loc_lines.append(lineno)
             elif tag == "CAT":
                 cat_raw_id.append(raw_id)
+    for lineno, cat in zip(loc_lines, loc_cat):
+        if not -1 <= cat < len(cat_name):
+            raise PreprocessError(
+                f"{path}:{lineno}: LOC line category {cat} is not -1 or in [0, {len(cat_name)})"
+            )
     return Vocab(user_key, loc_key, cat_name, cat_raw_id, loc_coord, loc_cat)
 
 
@@ -506,17 +519,27 @@ def _location_fields_problem(text: str, want_text: str, want_coord: tuple[float,
             return f"category id {cat_s} is not {want_cat}, its location's"
     except ValueError:
         return f"category id {cat_s!r} is not an integer"
-    for name, s, want, bound in zip(("lat", "lon"), (lat_s, lon_s), want_coord, (90.0, 180.0)):
+    for name, s, want in zip(("lat", "lon"), (lat_s, lon_s), want_coord):
         try:
             value = float(s)
         except ValueError:
             return f"{name} {s!r} is not a number"
-        if not math.isfinite(value):
-            return f"{name} {s} is not finite"
-        if not -bound <= value <= bound:
-            return f"{name} {s} outside [-{bound:g}, {bound:g}]"
+        problem = _coordinate_problem(name, value, s)
+        if problem:
+            return problem
         if value != want:
             return f"{name} {s} is not {want!r}, its location's"
+    return None
+
+
+def _coordinate_problem(name: str, value: float, text: str) -> str | None:
+    """What is wrong with a "lat" or "lon" `value`, read from `text`, or
+    None if it is finite and in range."""
+    bound = 90.0 if name == "lat" else 180.0
+    if not math.isfinite(value):
+        return f"{name} {text} is not finite"
+    if not -bound <= value <= bound:
+        return f"{name} {text} outside [-{bound:g}, {bound:g}]"
     return None
 
 

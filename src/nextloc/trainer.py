@@ -3,14 +3,21 @@
 One prediction instance exists for every position >= 2 of every session in
 the chosen split; its inputs are the session prefix before the target plus
 all chronologically earlier sessions (for test sessions that includes the
-train sessions). Instances are padded per batch and masked, so batching never
-changes per-instance semantics. All randomness derives from (seed, epoch),
-which makes runs reproducible and checkpoints resumable.
+train sessions). `make_instances` keeps each user's records once, in one
+chronological list, and an instance's history and prefix are read-only
+views of it: all instances of one session share one history view, so the
+instances cost O(1) memory each, however long the history. Instances are
+padded per batch and masked, so batching never changes per-instance
+semantics. All randomness derives from (seed, epoch), which makes runs
+reproducible and checkpoints resumable.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -26,18 +33,68 @@ class TrainingDiverged(Exception):
     pass
 
 
+class RecordView(Sequence):
+    """The read-only list `records[start:stop]`, without copying it.
+
+    It indexes (negative indexes too), slices, iterates and has a length
+    like the list, and compares equal to the list and to any view of the
+    same records."""
+
+    __slots__ = ("records", "start", "stop")
+
+    def __init__(self, records: list[SessRecord], start: int, stop: int):
+        self.records, self.start, self.stop = records, start, stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            span = range(self.start, self.stop)[key]
+            if span.step == 1:
+                return RecordView(self.records, span.start, max(span.start, span.stop))
+            return [self.records[i] for i in span]
+        i = operator.index(key)
+        n = self.stop - self.start
+        if not -n <= i < n:
+            raise IndexError("record index out of range")
+        return self.records[self.start + i % n]
+
+    def __iter__(self):
+        return iter(self.records[self.start:self.stop])
+
+    def __eq__(self, other):
+        if isinstance(other, RecordView):
+            other = other.records[other.start:other.stop]
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self.records[self.start:self.stop] == other
+
+    __hash__ = None  # equal to a list, which is unhashable
+
+    def __repr__(self) -> str:
+        return f"RecordView({self.records[self.start:self.stop]!r})"
+
+
 @dataclass(slots=True)
 class TrainingInstance:
+    """One prediction target. `make_instances` gives `history` and `prefix`
+    as `RecordView`s of the user's records, so their lengths cost O(1);
+    plain lists of `SessRecord`s work everywhere too."""
+
     user_index: int
-    history: list[SessRecord]   # all records of sessions before the current one
-    prefix: list[SessRecord]    # current-session records before the target
+    history: Sequence[SessRecord]  # all records of sessions before the current one
+    prefix: Sequence[SessRecord]   # current-session records before the target
     target_t: float             # normalized time of week of the target record
     target_cat: int
     target_loc: int
 
 
 def make_instances(users: list[SessionizedUser], split: str) -> list[TrainingInstance]:
-    """`split` is "train" or "test"."""
+    """`split` is "train" or "test". Each user's records up to the split's
+    end are copied once into one list; an instance's `history` and `prefix`
+    are `RecordView`s of it, and the instances of one session share one
+    `history` object."""
     if split not in ("train", "test"):
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     out: list[TrainingInstance] = []
@@ -45,34 +102,33 @@ def make_instances(users: list[SessionizedUser], split: str) -> list[TrainingIns
         for u in users:
             sessions = u.sessions
             lo, hi = (0, u.split_point) if split == "train" else (u.split_point, len(sessions))
-            history = [r for s in sessions[:lo] for r in s.records]
+            records = [r for s in sessions[:hi] for r in s.records]
+            start = sum(len(s.records) for s in sessions[:lo])
             for s in sessions[lo:hi]:
-                records = s.records
-                for i in range(1, len(records)):
-                    tgt = records[i]
-                    out.append(
-                        TrainingInstance(u.user_index, history, records[:i], tgt.tow, tgt.cat, tgt.loc)
-                    )
-                history = history + records  # a new list: the session's instances keep theirs
+                history = RecordView(records, 0, start)
+                session = s.records
+                for i in range(1, len(session)):
+                    tgt = session[i]
+                    out.append(TrainingInstance(
+                        u.user_index, history, RecordView(records, start, start + i), tgt.tow, tgt.cat, tgt.loc
+                    ))
+                start += len(session)
     return out
 
 
-def _pad(seqs: list[list[SessRecord]]) -> tuple[np.ndarray, ...]:
-    n = len(seqs)
-    width = max((len(s) for s in seqs), default=0)
-    loc = np.zeros((n, width), dtype=np.intp)
-    cat = np.zeros((n, width), dtype=np.intp)
-    hour = np.zeros((n, width), dtype=np.intp)
-    day = np.zeros((n, width), dtype=np.intp)
-    mask = np.zeros((n, width), dtype=np.float64)
-    for i, s in enumerate(seqs):
-        for t, r in enumerate(s):
-            loc[i, t] = r.loc
-            cat[i, t] = max(r.cat, 0)
-            hour[i, t] = r.hour
-            day[i, t] = r.dow
-            mask[i, t] = 1.0
-    return loc, cat, hour, day, mask
+def _pad(seqs: Sequence[Sequence[SessRecord]]) -> tuple[np.ndarray, ...]:
+    """(loc, cat, hour, day, mask) arrays of shape (len(seqs), longest),
+    each sequence left-aligned in its row; padding is 0, and so is a
+    category of -1."""
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    out = [np.zeros(mask.shape, dtype=np.intp) for _ in range(4)]
+    columns = list(zip(*chain.from_iterable(seqs)))  # SessRecord fields, row-major over the real steps
+    if columns:
+        for a, col in zip(out, columns[:4]):
+            a[mask] = col
+        np.maximum(out[1], 0, out=out[1])
+    return *out, mask.astype(np.float64)
 
 
 def batchify(instances: list[TrainingInstance]) -> Batch:

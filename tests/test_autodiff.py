@@ -380,6 +380,36 @@ def test_backward_through_the_final_state_allocates_no_more_than_through_the_sta
     assert peaks["last"] <= peaks["seq"] + 8 * bsz * hd + SLACK
 
 
+def test_backward_through_both_outputs_allocates_no_more_than_through_the_states():
+    x, h0, w, pack = long_chain()
+    bsz, hd = pack.batch, w.hidden
+    backward(ad.total(ad.gru_sequence(x, h0, w, pack)[0]))  # numpy's first-call allocations stay out of the peaks
+    peaks = {}
+    for outputs in (("seq",), ("last", "seq")):
+        last, seq = ad.gru_sequence(x, h0, w, pack)
+        loss = ad.total(seq)
+        if "last" in outputs:
+            loss = ad.add(ad.total(last), loss)
+        del last, seq
+        _, peaks[outputs], _ = traced_bytes(lambda: backward(loss))
+    # the final-state node's broadcast zero is dropped, not added to the states' gradient
+    assert peaks[("last", "seq")] <= peaks[("seq",)] + 8 * bsz * hd + SLACK
+
+
+def test_broadcast_zero_contributions_are_dropped_in_either_order():
+    p = ad.parameter(np.zeros(3))
+    contribution = np.array([-0.0, -1.0, 3.0])
+    for zero_first in (True, False):
+        p.grad, seen = None, []
+        middle = ad.Tensor(np.zeros(3), parents=(p,), backward=lambda g: (seen.append(g) or g,))
+        real = ad.Tensor(np.zeros(3), parents=(middle,), backward=lambda g: (contribution,))
+        zero = ad.Tensor(np.zeros(3), parents=(middle,), backward=lambda g: (np.broadcast_to(0.0, (3,)),))
+        terms = [ad.total(zero), ad.total(real)]
+        backward(ad.add(*(terms if zero_first else terms[::-1])))
+        assert len(seen) == 1 and seen[0] is contribution  # handed on, not summed into a copy
+        assert np.array_equal(p.grad, contribution)
+
+
 def test_second_backward_through_a_gru_graph_raises_and_changes_no_gradient():
     rng = np.random.default_rng(8)
     w = random_gru(rng, 3, 4)

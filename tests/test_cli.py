@@ -380,6 +380,32 @@ def test_train_rejects_truncated_processed_file(tmp_path, capsys):
     assert line.startswith("nextloc-error: pipeline:") and "declares" in line
 
 
+@pytest.mark.parametrize("field, value, why", [
+    (5, "999", "category 999 is not -1 or in [0, "),
+    (5, "-3", "category -3 is not -1 or in [0, "),
+    (3, "nan", "lat nan is not finite"),
+    (3, "91.5", "lat 91.5 outside [-90, 90]"),
+    (4, "-inf", "lon -inf is not finite"),
+    (4, "180.25", "lon 180.25 outside [-180, 180]"),
+])
+def test_train_rejects_vocab_location_out_of_range(tmp_path, capsys, field, value, why):
+    cfg = write_config(tmp_path)
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    vocab = tmp_path / "out" / "vocab.txt"
+    lines = vocab.read_text().splitlines(keepends=True)
+    first_loc = next(i for i, line in enumerate(lines) if line.startswith("LOC\t"))
+    fields = lines[first_loc].rstrip("\n").split("\t")
+    fields[field] = value
+    lines[first_loc] = "\t".join(fields) + "\n"
+    vocab.write_text("".join(lines))
+    rc = main(["train", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1 and len(err.splitlines()) == 1
+    line = single_error_line(err)
+    assert line.startswith("nextloc-error: pipeline:") and f"vocab.txt:{first_loc + 1}: LOC line {why}" in line
+
+
 def test_train_rejects_split_point_outside_sessions(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["prepare", "--config", str(cfg)]) == 0

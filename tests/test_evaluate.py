@@ -1,3 +1,7 @@
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 from nextloc import autodiff as ad
 from nextloc import evaluate
 from nextloc.evaluate import (
+    EVAL_MAX_STEPS,
     Predictions,
     attractiveness_error,
     bin_values,
@@ -19,11 +24,13 @@ from nextloc.evaluate import (
     rank_locations,
     recall_at_n,
     sensitivity_sweep,
+    step_batches,
 )
 from nextloc.geo import GeoPoint, GridSpec, grid_index
 from nextloc.model import VARIANTS, ModelConfig, build_params, forward
 from nextloc.objective import LossWeights, total_loss
-from nextloc.preprocess import Vocab
+from nextloc.ingest import parse_foursquare
+from nextloc.preprocess import Vocab, run_pipeline
 from nextloc.synth import weekly_schedule_corpus
 from nextloc.trainer import TrainHyper, batchify, fit, make_instances, train_epoch
 
@@ -297,7 +304,8 @@ def test_predict_without_graph_matches_recorded_forward(monkeypatch, variant):
         return seen[-1]
 
     monkeypatch.setattr(evaluate, "forward", recording_forward)
-    preds = predict(store, cfg, instances, vocab=vocab, batch_size=len(instances))
+    steps = sum(len(i.history) + len(i.prefix) for i in instances)
+    preds = predict(store, cfg, instances, vocab=vocab, max_steps=steps)
     assert [s.loc_logits.parents for s in seen] == [()]
     assert np.array_equal(preds.loc_ranked, rank_locations(recorded.loc_logits.value, 10))
     if recorded.cat_logits is not None:
@@ -340,3 +348,106 @@ def test_training_epoch_unchanged_after_location_recall():
         for attr in ("m", "v"):
             assert np.array_equal(getattr(plain.entries[n], attr), getattr(after_eval.entries[n], attr)), n
         assert np.array_equal(plain[n].value, after_eval[n].value), n
+
+
+# ---------------------------------------------------------------------------
+# batches cut by a budget of real steps
+# ---------------------------------------------------------------------------
+
+def sized(steps):
+    """Stand-ins for instances with the given history-plus-prefix steps."""
+    return [SimpleNamespace(history=[None] * (n - 1), prefix=[None], n=n) for n in steps]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 40), max_size=30), st.integers(1, 60))
+def test_step_batches_keep_order_split_nothing_and_respect_the_budget(steps, budget):
+    instances = sized(steps)
+    batches = list(step_batches(instances, budget))
+    assert [i for b in batches for i in b] == instances
+    assert all(b for b in batches)
+    for k, b in enumerate(batches):
+        total = sum(i.n for i in b)
+        assert total <= budget or len(b) == 1  # only an instance over the budget runs over it
+        if k + 1 < len(batches):
+            assert total + batches[k + 1][0].n > budget  # each batch takes all that fits
+
+
+def test_step_batches_run_an_instance_over_the_budget_alone():
+    batches = list(step_batches(sized([3, 2, 9, 1, 4]), 5))
+    assert [[i.n for i in b] for b in batches] == [[3, 2], [9], [1, 4]]
+    assert list(step_batches([], 5)) == []
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_budget_gives_the_rankings_of_one_instance_per_batch(variant):
+    vocab, users = weekly_schedule_corpus(n_users=6, n_weeks=6, slots_per_week=4)
+    cfg = small_cfg(vocab, variant)
+    store = build_params(cfg, seed=5)
+    instances = make_instances(users, "test")
+    budget = sum(len(i.history) + len(i.prefix) for i in instances) // 4
+    chunks = list(step_batches(instances, budget))
+    assert 4 <= len(chunks) < len(instances)
+    with ad.no_grad():
+        alone = [forward(store, cfg, batchify([i])) for i in instances]
+        cut = [forward(store, cfg, batchify(c)) for c in chunks]
+    for name in ("loc_logits", "cat_logits", "t_hat"):
+        if getattr(alone[0], name) is None:
+            continue
+        want = np.concatenate([getattr(s, name).value for s in alone])
+        got = np.concatenate([getattr(s, name).value for s in cut])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+    one = predict(store, cfg, instances, vocab=vocab, max_steps=1)
+    for preds in (predict(store, cfg, instances, vocab=vocab, max_steps=budget),
+                  predict(store, cfg, instances, vocab=vocab)):
+        assert np.array_equal(preds.loc_ranked, one.loc_ranked)
+        assert np.array_equal(preds.cat_ranked, one.cat_ranked)
+        for n in (1, 5, 10):
+            assert (recall_at_n(preds.user, preds.loc_ranked, preds.target_loc, n)
+                    == recall_at_n(one.user, one.loc_ranked, one.target_loc, n))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def benchmark_modules():
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
+    try:
+        import nycgen
+        import spec
+    finally:
+        del sys.path[:2]
+    return nycgen, spec
+
+
+def capped_sample_steps(instances, size: int, cap: float) -> int:
+    """The most real steps a `size`-instance sample can hold when it draws
+    only instances whose history is at most the `cap` quantile of lengths,
+    as the benchmark's eval sample does."""
+    hist = np.array([len(i.history) for i in instances])
+    steps = hist + np.array([len(i.prefix) for i in instances])
+    return size * int(steps[hist <= np.quantile(hist, cap)].max())
+
+
+def test_benchmark_eval_samples_stay_one_batch_on_the_synthetic_corpus():
+    _, spec = benchmark_modules()
+    wl = spec.WORKLOADS["synth-h64"]
+    _, users = weekly_schedule_corpus(n_users=50, n_weeks=12, n_locs=20, n_cats=6, slots_per_week=5)
+    test = make_instances(users, "test")
+    assert len(test) == 400
+    assert capped_sample_steps(test, wl.eval_size, wl.history_cap) <= EVAL_MAX_STEPS
+
+
+def test_step_budget_sized_on_the_nyc_shaped_file(tmp_path):
+    """On the benchmark's seed-1 NYC-shaped file, the budget keeps the
+    median 256 consecutive test instances in one batch, splits the worst
+    256 (492,772 steps), and keeps any eval sample in one batch."""
+    nycgen, spec = benchmark_modules()
+    raw = tmp_path / "raw.txt"
+    nycgen.write_file(raw, 1)
+    test = make_instances(run_pipeline(parse_foursquare(raw)).users, "test")
+    steps = [sum(len(i.history) + len(i.prefix) for i in test[k:k + 256]) for k in range(0, len(test), 256)]
+    assert np.median(steps) == 45424.5 and max(steps) == 492772
+    assert np.median(steps) <= EVAL_MAX_STEPS < max(steps)
+    wl = spec.WORKLOADS["nyc-h256"]
+    assert capped_sample_steps(test, wl.eval_size, wl.history_cap) <= EVAL_MAX_STEPS

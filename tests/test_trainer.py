@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,6 +11,7 @@ from nextloc.params import ParamStore, load_checkpoint, save_checkpoint
 from nextloc.preprocess import Session, SessionizedUser, SessRecord
 from nextloc.synth import weekly_schedule_corpus
 from nextloc.trainer import (
+    RecordView,
     TrainHyper,
     TrainingDiverged,
     batchify,
@@ -84,6 +86,127 @@ def test_targets_are_the_next_record():
     assert len(inst.prefix) == 1
     assert inst.target_loc == u.sessions[0].records[1].loc
     assert inst.target_t == u.sessions[0].records[1].tow
+
+
+def test_record_view_behaves_as_the_list_it_shows():
+    records = [rec(loc=i) for i in range(6)]
+    view, want = RecordView(records, 1, 5), records[1:5]
+    assert len(view) == 4 and list(view) == want and [r.loc for r in view] == [1, 2, 3, 4]
+    assert view[0] == want[0] and view[-1] == want[-1] and view[-4] == want[0]
+    for i in (4, -5):
+        with pytest.raises(IndexError):
+            view[i]
+    for key in (slice(1, 3), slice(None, -1), slice(3, 1), slice(None, None, 2), slice(None, None, -1), slice(-9, 9)):
+        assert view[key] == want[key] and want[key] == view[key], key
+    assert isinstance(view[1:3], RecordView)
+    assert view == want and want == view and view == RecordView(list(records), 1, 5)
+    assert view != records and records != view and view != want[:-1]
+    assert RecordView(records, 2, 2) == [] and [] == RecordView(records, 2, 2)
+    assert view != tuple(want)  # a view equals lists, as a list does
+    assert want[2] in view and view.index(want[2]) == 2 and list(reversed(view)) == want[::-1]
+    with pytest.raises(TypeError):
+        hash(view)
+
+
+def test_instances_are_views_of_the_users_records():
+    u = user_with_session_lengths([3, 2, 4], split_point=1)
+    train, test = make_instances([u], "train"), make_instances([u], "test")
+    assert train[0].history == [] and [] == train[0].history
+    records = [r for s in u.sessions for r in s.records]
+    for inst, (start, i) in zip(train + test, [(0, 1), (0, 2), (3, 1), (5, 1), (5, 2), (5, 3)]):
+        assert isinstance(inst.history, RecordView) and isinstance(inst.prefix, RecordView)
+        assert inst.history == records[:start] and records[:start] == inst.history
+        assert inst.prefix == records[start:start + i] and inst.prefix[-1] == records[start + i - 1]
+
+
+def test_instances_of_one_session_share_one_history_object():
+    vocab, users = corpus()
+    for split in ("train", "test"):
+        instances = make_instances(users, split)
+        by_session: dict = {}
+        for inst in instances:
+            # a session's instances are consecutive, their prefixes one step longer each
+            key = (inst.user_index, len(inst.history))
+            by_session.setdefault(key, set()).add(id(inst.history))
+        assert all(len(ids) == 1 for ids in by_session.values())
+        assert len({id(i.history) for i in instances}) == len(by_session)
+
+
+def instances_bytes(n_sessions: int) -> int:
+    """Bytes that tracemalloc counts as held by the train instances of one
+    user with `n_sessions` sessions of 8 records."""
+    u = user_with_session_lengths([8] * n_sessions)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        instances = make_instances([u], "train")
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(instances) == 7 * n_sessions
+    return held
+
+
+def test_instance_memory_grows_linearly_in_sessions():
+    instances_bytes(4)  # first-call allocations stay out of the counts
+    small, large = instances_bytes(200), instances_bytes(400)
+    # a copied history per session would make this about 4x
+    assert large <= 2.1 * small
+
+
+def reference_pad(seqs):
+    """The record-at-a-time padding `trainer._pad` replaced."""
+    n = len(seqs)
+    width = max((len(s) for s in seqs), default=0)
+    loc = np.zeros((n, width), dtype=np.intp)
+    cat = np.zeros((n, width), dtype=np.intp)
+    hour = np.zeros((n, width), dtype=np.intp)
+    day = np.zeros((n, width), dtype=np.intp)
+    mask = np.zeros((n, width), dtype=np.float64)
+    for i, s in enumerate(seqs):
+        for t, r in enumerate(s):
+            loc[i, t] = r.loc
+            cat[i, t] = max(r.cat, 0)
+            hour[i, t] = r.hour
+            day[i, t] = r.dow
+            mask[i, t] = 1.0
+    return loc, cat, hour, day, mask
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+@pytest.mark.parametrize("categories", [True, False])
+def test_pad_matches_the_record_loop(split, categories):
+    vocab, users = weekly_schedule_corpus(n_users=5, n_weeks=6, slots_per_week=3)
+    if not categories:  # a dataset without categories has -1, padded as 0
+        for u in users:
+            for s in u.sessions:
+                s.records = [r._replace(cat=-1) for r in s.records]
+    instances = make_instances(users, split)
+    rng = np.random.default_rng(3)
+    for seqs in (
+        [i.history for i in instances],
+        [i.prefix for i in instances],
+        [list(i.history) for i in rng.permutation(np.array(instances, dtype=object))[:7]],
+        [instances[0].history],
+        [instances[-1].prefix],
+        [],
+    ):
+        assert_same_arrays(trainer._pad(seqs), reference_pad(seqs))
+
+
+def test_pad_mixes_lists_views_and_empty_sequences():
+    records = [rec(loc=i % 5, cat=(i % 4) - 1, hour=i % 24, dow=i % 7) for i in range(12)]
+    seqs = [RecordView(records, 0, 0), records[2:9], RecordView(records, 3, 12), [], records[:1]]
+    got = trainer._pad(seqs)
+    assert_same_arrays(got, reference_pad(seqs))
+    assert got[4].sum(axis=1).tolist() == [0, 7, 9, 0, 1]
+    assert_same_arrays(trainer._pad([[], []]), reference_pad([[], []]))
 
 
 # ---------------------------------------------------------------------------
