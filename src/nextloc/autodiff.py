@@ -37,8 +37,8 @@ chain over a packed sequence as one node, with the input projection hoisted
 out of the recurrence, gate-major (3, N, H) gate buffers so each step's gate
 math runs on contiguous blocks, and hand-written backpropagation through
 time over the same blocks. `concat_embeddings` builds the chains' inputs,
-one node per sequence; `concat_cols` and `affine` build the heads, and
-`softmax_xent`, `circular_abs`, `cmul`, `smul`, `add` and `mean` the loss.
+one node per sequence, and `concat_cols` and `affine` build the heads. The
+training objective over the heads is one node too, `objective.total_loss`.
 
 Conventions: sequences are packed time-major (N, dim); weight matrices are
 (out, in) and applied as ``x @ W.T``; no general broadcasting.
@@ -168,7 +168,7 @@ def _single_use(bw):
 
 
 # ---------------------------------------------------------------------------
-# Layers and loss terms
+# Layers
 # ---------------------------------------------------------------------------
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -181,36 +181,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return g @ w.value, g.T @ x.value, g.sum(axis=0)
 
     return Tensor(x.value @ w.value.T + b.value, parents=(x, w, b), backward=bw)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.shape != b.value.shape:
-        raise GradError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-    def bw(g):
-        return g, g
-
-    return Tensor(a.value + b.value, parents=(a, b), backward=bw)
-
-
-def cmul(x: Tensor, c) -> Tensor:
-    """Multiply by a constant array broadcastable over x (e.g. per-row weights)."""
-    c = np.asarray(c, dtype=np.float64)
-    value = x.value * c
-    if value.shape != x.value.shape:
-        raise GradError(f"cmul constant {c.shape} expands {x.shape}")
-
-    def bw(g):
-        return (g * c,)
-
-    return Tensor(value, parents=(x,), backward=bw)
-
-
-def smul(x: Tensor, k: float) -> Tensor:
-    def bw(g):
-        return (g * k,)
-
-    return Tensor(x.value * k, parents=(x,), backward=bw)
 
 
 def concat_cols(xs: list[Tensor]) -> Tensor:
@@ -251,67 +221,6 @@ def concat_embeddings(lookups: list[tuple[Tensor, np.ndarray]]) -> Tensor:
         return grads
 
     return Tensor(out, parents=tables, backward=bw)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Plain (non-differentiated) softmax over the last axis."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_xent(logits: Tensor, targets) -> Tensor:
-    """Per-row cross-entropy, -log softmax(logits_i)[t_i].
-
-    `targets` (B,) are constants; max-subtraction keeps the log-sum-exp
-    stable. Returns a (B,) loss vector; `cmul` weights its rows.
-    """
-    targets = np.asarray(targets, dtype=np.intp)
-    n, k = logits.value.shape
-    if targets.shape != (n,) or (targets.size and (targets.min() < 0 or targets.max() >= k)):
-        raise GradError("softmax_xent target out of range")
-    m = logits.value.max(axis=1)
-    lse = m + np.log(np.exp(logits.value - m[:, None]).sum(axis=1))
-
-    def bw(g):
-        p = softmax(logits.value)
-        p[np.arange(n), targets] -= 1.0
-        p *= g[:, None]
-        return (p,)
-
-    return Tensor(lse - logits.value[np.arange(n), targets], parents=(logits,), backward=bw)
-
-
-def circular_abs(pred: Tensor, targets) -> Tensor:
-    """|delta| after wrapping delta = pred - target to [-1/2, 1/2].
-
-    For |delta| <= 1 this equals min(|delta|, 1 - |delta|); used for errors on
-    a unit-circle quantity such as normalized time of week. Returns (B,).
-    """
-    t = np.asarray(targets, dtype=np.float64)
-    delta = pred.value.reshape(-1) - t
-    wrapped = delta - np.round(delta)
-
-    def bw(g):
-        return ((g * np.sign(wrapped)).reshape(pred.value.shape),)
-
-    return Tensor(np.abs(wrapped), parents=(pred,), backward=bw)
-
-
-def mean(x: Tensor) -> Tensor:
-    inv = 1.0 / x.value.size
-
-    def bw(g):
-        return (np.broadcast_to(g * inv, x.value.shape),)
-
-    return Tensor(x.value.mean(), parents=(x,), backward=bw)
-
-
-def total(x: Tensor) -> Tensor:
-    def bw(g):
-        return (np.broadcast_to(g, x.value.shape),)
-
-    return Tensor(x.value.sum(), parents=(x,), backward=bw)
 
 
 # ---------------------------------------------------------------------------

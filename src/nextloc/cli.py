@@ -5,7 +5,8 @@ Subcommands (all driven by one config file; see config.py for the schema):
 * ``prepare --config F``                 parse + preprocess; writes canonical.txt,
   processed.txt, vocab.txt, stats.txt into output_dir
 * ``train --config F [--seed N] [--resume CKPT]``   writes best.ckpt (the
-  best epoch's parameters) and epochs.csv
+  best epoch's parameters) and epochs.csv; ``--resume`` continues a run from
+  its best.ckpt, which stays the best until an epoch beats its recall@1
 * ``evaluate --config F --checkpoint C`` writes metrics.json
 * ``analyze --config F --checkpoint C``  writes joint_matrix.csv,
   distance_hist.csv, displacement.csv, attractiveness.csv
@@ -129,16 +130,37 @@ def cmd_prepare(cfg: RunConfig) -> None:
     sys.stdout.write(report)
 
 
+EPOCH_COLUMNS = ["epoch", "L_l", "L_t", "L_c", "L_s", "recall_at_1", "recall_at_5", "recall_at_10"]
+
+
+def _logged_epochs(path: Path, header: str, last_epoch: int) -> list[list[str]]:
+    """The rows of an earlier epochs.csv of this run (same header line) for
+    epochs up to `last_epoch`, as written; none for another run's file."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except FileNotFoundError:
+        return []
+    if lines[:2] != [f"#{header}", ",".join(EPOCH_COLUMNS)]:
+        return []
+    rows = [line.split(",") for line in lines[2:]]
+    return [r for r in rows if r[0].isdigit() and int(r[0]) <= last_epoch]
+
+
 def cmd_train(cfg: RunConfig, resume: str | None) -> None:
     vocab, users = _load_dataset(cfg)
     mc = _model_config(cfg, vocab)
     weights = LossWeights(cfg.lambda_t, cfg.lambda_c, cfg.lambda_s)
     hyper = TrainHyper(cfg.learning_rate, cfg.batch_size, cfg.epochs, cfg.patience, cfg.clip_norm)
-    initial, start_epoch = None, 0
+    out = _out(cfg)
+    initial, start_epoch, best_recall, logged = None, 0, -1.0, []
     if resume:
         initial, meta = _load_matching_checkpoint(cfg, resume, mc, moments=True)
         start_epoch = int(meta.get("epoch", -1)) + 1
-    out = _out(cfg)
+        if start_epoch >= cfg.epochs:
+            print(f"nothing left to train: {resume} holds epoch {start_epoch - 1} of {cfg.epochs}")
+            return
+        best_recall = float(meta.get("best_recall_at_1", -1.0))
+        logged = _logged_epochs(out / "epochs.csv", _header(cfg), start_epoch - 1)
 
     def log(row):
         r = row.recall
@@ -148,7 +170,8 @@ def cmd_train(cfg: RunConfig, resume: str | None) -> None:
             f"recall@1={r[1]:.4f} @5={r[5]:.4f} @10={r[10]:.4f}"
         )
 
-    result = fit(users, vocab, mc, weights, hyper, cfg.seed, initial=initial, start_epoch=start_epoch, log=log)
+    result = fit(users, vocab, mc, weights, hyper, cfg.seed, initial=initial, start_epoch=start_epoch,
+                 best_recall=best_recall, log=log)
     meta = {
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
@@ -158,9 +181,8 @@ def cmd_train(cfg: RunConfig, resume: str | None) -> None:
     }
     save_checkpoint(out / "best.ckpt", result.store, meta)
     _write_csv(
-        out / "epochs.csv", _header(cfg),
-        ["epoch", "L_l", "L_t", "L_c", "L_s", "recall_at_1", "recall_at_5", "recall_at_10"],
-        [
+        out / "epochs.csv", _header(cfg), EPOCH_COLUMNS,
+        logged + [
             (row.epoch, row.losses.loc, row.losses.time, row.losses.cat, row.losses.spatial,
              row.recall[1], row.recall[5], row.recall[10])
             for row in result.history

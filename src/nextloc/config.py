@@ -27,8 +27,10 @@ seed                  1
 output_dir            (no default; artifact directory)
 
 The config hash identifies a run's configuration in artifact headers; it
-covers every key except ``seed``, so reruns with another seed still pair with
-their artifacts.
+covers every key except ``seed`` and ``output_dir``, so reruns with another
+seed still pair with their artifacts, and a run directory moved elsewhere
+keeps its checkpoints. ``dataset_path`` stays in: the hash does not cover the
+data itself.
 """
 
 from __future__ import annotations
@@ -165,9 +167,10 @@ def validation_problems(cfg: RunConfig) -> list[str]:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """12-hex digest over all keys except seed, in sorted key order."""
+    """12-hex digest over all keys except seed and output_dir, in sorted key
+    order; neither changes a number the run computes."""
     text = "\n".join(
         f"{f.name}={getattr(cfg, f.name)}" for f in sorted(fields(RunConfig), key=lambda f: f.name)
-        if f.name != "seed"
+        if f.name not in ("seed", "output_dir")
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]

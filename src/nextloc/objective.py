@@ -1,12 +1,17 @@
-"""Per-task losses and their weighted total.
+"""The training objective, L_l + lt*L_t + lc*L_c + ls*L_s, as one graph node.
 
 Location and category use cross-entropy; time uses an absolute error wrapped
 on the weekly cycle (so Sunday 23:59 vs Monday 00:01 is a small error). The
-distance-weighted location term multiplies each instance's cross-entropy by
-the great-circle distance in km between the currently argmax-predicted and
-the true location; that coefficient is held constant within the step, so no
-gradient flows through the distance or the argmax. Batch losses are means
-over instances, keeping the weights comparable across batch sizes.
+distance-weighted location term L_s multiplies each instance's cross-entropy
+by the great-circle distance in km between the currently argmax-predicted
+and the true location; that coefficient is held constant within the step,
+so no gradient flows through the distance or the argmax. Batch losses are
+means over instances, keeping the weights comparable across batch sizes.
+
+`total_loss` returns one node whose parents are the active head outputs and
+whose backward hands each its gradient directly: softmax minus one-hot,
+scaled per row, for the logits, and a scaled sign of the wrapped error for
+the predicted time.
 """
 
 from __future__ import annotations
@@ -55,6 +60,26 @@ def spatial_coefficients(loc_logits: np.ndarray, target_loc: np.ndarray, loc_coo
     return d
 
 
+def _xent(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row cross-entropy -log softmax(logits_i)[t_i], with the shifted
+    exponentials and their row sums that give the softmax back."""
+    n, k = logits.shape
+    if targets.shape != (n,) or (targets.size and (targets.min() < 0 or targets.max() >= k)):
+        raise ad.GradError("cross-entropy target out of range")
+    m = logits.max(axis=1)
+    e = np.exp(logits - m[:, None])  # max-subtraction keeps the log-sum-exp stable
+    s = e.sum(axis=1)
+    return m + np.log(s) - logits[np.arange(n), targets], e, s
+
+
+def _xent_grad(e: np.ndarray, s: np.ndarray, targets: np.ndarray, scale) -> np.ndarray:
+    """d(sum_i scale_i * xent_i)/d(logits): (softmax - one-hot) * scale per row."""
+    p = e / s[:, None]
+    p[np.arange(len(targets)), targets] -= 1.0
+    p *= np.reshape(scale, (-1, 1))
+    return p
+
+
 def total_loss(
     state: BranchState,
     target_t: np.ndarray,
@@ -65,30 +90,50 @@ def total_loss(
 ) -> tuple[Tensor, LossBreakdown]:
     """Mean per-task losses and total = L_l + lt*L_t + lc*L_c + ls*L_s.
 
-    Inactive heads contribute exactly 0. Returns the differentiable total and
-    a plain-float breakdown.
+    Inactive heads contribute exactly 0. Returns the differentiable total,
+    one node over the active head outputs (location logits, then t_hat and
+    category logits when present), and a plain-float breakdown.
     """
-    nll = ad.softmax_xent(state.loc_logits, target_loc)
-    d = spatial_coefficients(state.loc_logits.value, np.asarray(target_loc), loc_coord)
-    loss_l = ad.mean(nll)
-    loss_s = ad.mean(ad.cmul(nll, d))
-
-    node = ad.add(loss_l, ad.smul(loss_s, weights.lambda_s))
+    target_loc = np.asarray(target_loc, dtype=np.intp)
+    logits = state.loc_logits.value
+    nll, e_loc, s_loc = _xent(logits, target_loc)
+    d = spatial_coefficients(logits, target_loc, loc_coord)
+    inv = 1.0 / nll.size
+    loss_l = nll.mean()
+    loss_s = (nll * d).mean()
+    total = loss_l + loss_s * weights.lambda_s
+    parents = [state.loc_logits]
     t_val = c_val = 0.0
     if state.t_hat is not None:
-        loss_t = ad.mean(ad.circular_abs(state.t_hat, target_t))
-        node = ad.add(node, ad.smul(loss_t, weights.lambda_t))
-        t_val = float(loss_t.value)
+        wrapped = state.t_hat.value.reshape(-1) - np.asarray(target_t, dtype=np.float64)
+        wrapped -= np.round(wrapped)  # the error wrapped to [-1/2, 1/2]
+        t_val = np.abs(wrapped).mean()
+        total = total + t_val * weights.lambda_t
+        parents.append(state.t_hat)
     if state.cat_logits is not None:
-        loss_c = ad.mean(ad.softmax_xent(state.cat_logits, target_cat))
-        node = ad.add(node, ad.smul(loss_c, weights.lambda_c))
-        c_val = float(loss_c.value)
+        target_cat = np.asarray(target_cat, dtype=np.intp)
+        xent_c, e_cat, s_cat = _xent(state.cat_logits.value, target_cat)
+        c_val = xent_c.mean()
+        total = total + c_val * weights.lambda_c
+        parents.append(state.cat_logits)
 
+    def bw(g):
+        # each term hands its rows g * weight * (1/B), multiplied in that
+        # order; L_l and L_s share the location rows, L_s's scaled by each
+        # row's distance
+        grads = [_xent_grad(e_loc, s_loc, target_loc, g * inv + g * weights.lambda_s * inv * d)]
+        if state.t_hat is not None:
+            grads.append((g * weights.lambda_t * inv * np.sign(wrapped)).reshape(state.t_hat.shape))
+        if state.cat_logits is not None:
+            grads.append(_xent_grad(e_cat, s_cat, target_cat, g * weights.lambda_c * inv))
+        return grads
+
+    node = Tensor(total, parents=tuple(parents), backward=bw)
     breakdown = LossBreakdown(
-        loc=float(loss_l.value),
-        time=t_val,
-        cat=c_val,
-        spatial=float(loss_s.value),
-        total=float(node.value),
+        loc=float(loss_l),
+        time=float(t_val),
+        cat=float(c_val),
+        spatial=float(loss_s),
+        total=float(total),
     )
     return node, breakdown

@@ -233,18 +233,24 @@ def fit(
     seed: int,
     initial: ParamStore | None = None,
     start_epoch: int = 0,
+    best_recall: float = -1.0,
     log=None,
 ) -> FitResult:
     """Train up to hyper.epochs, tracking test-split location recall@1 each
     epoch; stops once `patience` consecutive epochs bring no improvement and
-    returns the best-epoch parameters."""
+    returns the best-epoch parameters.
+
+    A run resumed from its best checkpoint passes that checkpoint's
+    parameters as `initial`, its epoch + 1 as `start_epoch` and its recall@1
+    as `best_recall`: the checkpoint stays the best epoch until a later one
+    beats it."""
     from .evaluate import location_recall
 
     store = initial if initial is not None else build_params(cfg, seed)
     train_instances = make_instances(users, "train")
     test_instances = make_instances(users, "test")
     best = _clone(store)
-    best_epoch, best_recall, stale = -1, -1.0, 0
+    best_epoch, stale = start_epoch - 1, 0
     history: list[EpochRow] = []
     for epoch in range(start_epoch, hyper.epochs):
         rng = np.random.default_rng([seed, epoch])

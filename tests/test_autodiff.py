@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_ops import add, cmul, total
 from nextloc import autodiff as ad
 from nextloc.autodiff import GradError, GRUWeights, backward
+from nextloc.model import BranchState
+from nextloc.objective import LossWeights, total_loss
 from nextloc.params import ADAM_BLOCK, CHECKPOINT_MAGIC, CheckpointError, ParamStore, load_checkpoint, save_checkpoint
 
 
@@ -67,7 +70,7 @@ def test_affine_shape_mismatch_fatal():
 
 def test_backward_through_identity_affine():
     x = ad.parameter(np.array([[1.0, 2.0, 3.0]]))
-    out = ad.total(ad.affine(x, ad.constant(np.eye(3)), ad.constant(np.zeros(3))))
+    out = total(ad.affine(x, ad.constant(np.eye(3)), ad.constant(np.zeros(3))))
     backward(out)
     assert np.array_equal(x.grad, np.ones((1, 3)))
 
@@ -75,12 +78,12 @@ def test_backward_through_identity_affine():
 def test_backward_requires_scalar():
     x = ad.parameter(np.ones((1, 3)))
     with pytest.raises(GradError):
-        backward(ad.smul(x, 2.0))
+        backward(cmul(x, 2.0))
 
 
 def test_repeated_backward_accumulates():
     x = ad.parameter(np.array([[2.0]]))
-    out = ad.total(ad.smul(x, 3.0))
+    out = total(cmul(x, 3.0))
     backward(out)
     backward(out)
     assert x.grad[0, 0] == 6.0
@@ -90,9 +93,9 @@ def test_shared_contribution_is_not_summed_in_place():
     # add hands one array to both parents: summing a's two contributions
     # into it in place would change b's too
     p = ad.parameter(np.array([1.0]))
-    a, b = ad.smul(p, 2.0), ad.smul(p, 3.0)
-    z = ad.add(a, b)
-    backward(ad.total(ad.add(z, a)))
+    a, b = cmul(p, 2.0), cmul(p, 3.0)
+    z = add(a, b)
+    backward(total(add(z, a)))
     assert p.grad[0] == 7.0
 
 
@@ -111,7 +114,7 @@ def test_contribution_of_wrong_shape_raises():
 def test_no_grad_outputs_have_no_parents():
     w, b = ad.parameter(np.eye(2)), ad.parameter(np.zeros(2))
     with ad.no_grad():
-        out = ad.total(ad.affine(ad.constant(np.ones((1, 2))), w, b))
+        out = total(ad.affine(ad.constant(np.ones((1, 2))), w, b))
     assert out.parents == () and out._backward is None
     assert out.value == 2.0
 
@@ -119,7 +122,7 @@ def test_no_grad_outputs_have_no_parents():
 def test_backward_on_no_grad_graph_raises():
     w, b = ad.parameter(np.eye(2)), ad.parameter(np.zeros(2))
     with ad.no_grad():
-        loss = ad.mean(ad.affine(ad.constant(np.ones((1, 2))), w, b))
+        loss = total(ad.affine(ad.constant(np.ones((1, 2))), w, b))
     with pytest.raises(GradError):
         backward(loss)
     assert w.grad is None
@@ -130,7 +133,7 @@ def test_grad_mode_returns_after_exception():
         with ad.no_grad():
             raise RuntimeError("inside")
     x = ad.parameter(np.ones(2))
-    out = ad.total(x)
+    out = total(x)
     assert out.parents == (x,)
     backward(out)
     assert np.array_equal(x.grad, np.ones(2))
@@ -213,7 +216,7 @@ def test_gru_mask_passes_state_through():
     assert np.array_equal(out.value[0], h[0])
     assert not np.array_equal(out.value[1], h[1])
     # masked row contributes no gradient
-    backward(ad.total(ad.cmul(out, np.array([[1.0], [0.0]]))))
+    backward(total(cmul(out, np.array([[1.0], [0.0]]))))
     assert np.array_equal(w.w_x.grad, np.zeros_like(w.w_x.grad))
 
 
@@ -261,10 +264,10 @@ def check_gru_gradient(outputs):
 
     def build():
         last, seq = ad.gru_sequence(x, h0, w, pack)
-        terms = {"last": ad.total(ad.cmul(last, c_last)), "seq": ad.total(ad.cmul(seq, c_seq))}
+        terms = {"last": total(cmul(last, c_last)), "seq": total(cmul(seq, c_seq))}
         loss = terms[outputs[0]]
         for o in outputs[1:]:
-            loss = ad.add(loss, terms[o])
+            loss = add(loss, terms[o])
         return loss
 
     backward(build())
@@ -296,7 +299,7 @@ def test_gru_sequence_without_steps_returns_h0():
     last, seq = ad.gru_sequence(ad.constant(np.zeros((0, 3))), h0, w, ad.Packing(np.zeros((2, 0))))
     assert np.array_equal(last.value, h0.value)
     assert seq.value.shape == (0, 4)
-    backward(ad.total(ad.concat_cols([last, ad.smul(last, 2.0)])))
+    backward(total(ad.concat_cols([last, cmul(last, 2.0)])))
     assert np.array_equal(h0.grad, np.full((2, 4), 3.0))
     assert np.array_equal(w.w_x.grad, np.zeros((12, 3)))
     assert np.array_equal(w.w_h.grad, np.zeros((12, 4))) and np.array_equal(w.bias.grad, np.zeros(12))
@@ -316,7 +319,7 @@ def test_constant_h0_takes_no_gradient():
     pack = ad.Packing(RAGGED)
     x, h0 = ad.parameter(pack.gather(rng.normal(size=(4, 4, 3)))), ad.constant(np.zeros((4, 4)))
     last, seq = ad.gru_sequence(x, h0, w, pack)
-    backward(ad.add(ad.total(last), ad.total(seq)))
+    backward(add(total(last), total(seq)))
     assert h0.grad is None
     for p in (x, w.w_x, w.w_h, w.bias):
         assert p.grad.any()
@@ -358,7 +361,7 @@ def test_gru_backward_allocates_the_state_gradient_and_dx_only():
     x, h0, w, pack = long_chain()
     n, bsz, hd, d_in = pack.size, pack.batch, w.hidden, x.shape[1]
     _, seq = ad.gru_sequence(x, h0, w, pack)
-    loss = ad.total(seq)
+    loss = total(seq)
     _, peak, _ = traced_bytes(lambda: backward(loss))
     weights = w.w_x.value.size + w.w_h.value.size + w.bias.value.size
     # dh (B + N, H), dx and one (N, in) product being added to it, each
@@ -369,11 +372,11 @@ def test_gru_backward_allocates_the_state_gradient_and_dx_only():
 def test_backward_through_the_final_state_allocates_no_more_than_through_the_states():
     x, h0, w, pack = long_chain()
     bsz, hd = pack.batch, w.hidden
-    backward(ad.total(ad.gru_sequence(x, h0, w, pack)[0]))  # numpy's first-call allocations stay out of the peaks
+    backward(total(ad.gru_sequence(x, h0, w, pack)[0]))  # numpy's first-call allocations stay out of the peaks
     peaks = {}
     for output in ("last", "seq"):
         last, seq = ad.gru_sequence(x, h0, w, pack)
-        loss = ad.total(last if output == "last" else seq)
+        loss = total(last if output == "last" else seq)
         del last, seq
         _, peaks[output], _ = traced_bytes(lambda: backward(loss))
     # the final-state gradient goes straight into the state gradient's rows
@@ -383,13 +386,13 @@ def test_backward_through_the_final_state_allocates_no_more_than_through_the_sta
 def test_backward_through_both_outputs_allocates_no_more_than_through_the_states():
     x, h0, w, pack = long_chain()
     bsz, hd = pack.batch, w.hidden
-    backward(ad.total(ad.gru_sequence(x, h0, w, pack)[0]))  # numpy's first-call allocations stay out of the peaks
+    backward(total(ad.gru_sequence(x, h0, w, pack)[0]))  # numpy's first-call allocations stay out of the peaks
     peaks = {}
     for outputs in (("seq",), ("last", "seq")):
         last, seq = ad.gru_sequence(x, h0, w, pack)
-        loss = ad.total(seq)
+        loss = total(seq)
         if "last" in outputs:
-            loss = ad.add(ad.total(last), loss)
+            loss = add(total(last), loss)
         del last, seq
         _, peaks[outputs], _ = traced_bytes(lambda: backward(loss))
     # the final-state node's broadcast zero is dropped, not added to the states' gradient
@@ -404,8 +407,8 @@ def test_broadcast_zero_contributions_are_dropped_in_either_order():
         middle = ad.Tensor(np.zeros(3), parents=(p,), backward=lambda g: (seen.append(g) or g,))
         real = ad.Tensor(np.zeros(3), parents=(middle,), backward=lambda g: (contribution,))
         zero = ad.Tensor(np.zeros(3), parents=(middle,), backward=lambda g: (np.broadcast_to(0.0, (3,)),))
-        terms = [ad.total(zero), ad.total(real)]
-        backward(ad.add(*(terms if zero_first else terms[::-1])))
+        terms = [total(zero), total(real)]
+        backward(add(*(terms if zero_first else terms[::-1])))
         assert len(seen) == 1 and seen[0] is contribution  # handed on, not summed into a copy
         assert np.array_equal(p.grad, contribution)
 
@@ -417,7 +420,7 @@ def test_second_backward_through_a_gru_graph_raises_and_changes_no_gradient():
     x, h0 = ad.parameter(pack.gather(rng.normal(size=(4, 4, 3)))), ad.parameter(rng.normal(size=(4, 4)))
     head_w, head_b = ad.parameter(rng.normal(size=(2, 4))), ad.parameter(rng.normal(size=2))
     last, seq = ad.gru_sequence(x, h0, w, pack)
-    loss = ad.add(ad.total(ad.affine(last, head_w, head_b)), ad.total(seq))
+    loss = add(total(ad.affine(last, head_w, head_b)), total(seq))
     backward(loss)
     params = [x, h0, w.w_x, w.w_h, w.bias, head_w, head_b]
     before = [p.grad.copy() for p in params]
@@ -433,9 +436,9 @@ def test_first_contribution_to_an_unallocated_gradient_adds_to_zeros():
     lazy = ad.parameter(np.zeros(3))
     assert lazy.requires_grad and lazy.grad is None
     for p in (eager, lazy):
-        backward(ad.total(ad.cmul(p, np.array([-0.0, 1.0, -2.0]))))
+        backward(total(cmul(p, np.array([-0.0, 1.0, -2.0]))))
     assert np.array_equal(lazy.grad, eager.grad) and not np.signbit(lazy.grad[0])  # 0.0 + -0.0 is 0.0
-    backward(ad.total(ad.cmul(lazy, np.array([-0.0, 1.0, -2.0]))))
+    backward(total(cmul(lazy, np.array([-0.0, 1.0, -2.0]))))
     assert np.array_equal(lazy.grad, [0.0, 2.0, -4.0])
 
 
@@ -453,7 +456,7 @@ def test_embedding_of_index_grid_scatters_every_entry():
     idx = np.array([[0, 2, 2], [3, 0, 2]])
     out = ad.concat_embeddings([(table, idx)])
     assert np.array_equal(out.value, table.value[idx])
-    backward(ad.total(out))
+    backward(total(out))
     assert np.array_equal(table.grad[:, 0], [2.0, 0.0, 3.0, 1.0])
 
 
@@ -469,7 +472,7 @@ def test_embedding_out_of_range_fatal():
 
 def test_embedding_gradient_is_one_hot_row():
     table = ad.parameter(np.ones((4, 3)))
-    backward(ad.total(ad.concat_embeddings([(table, [2])])))
+    backward(total(ad.concat_embeddings([(table, [2])])))
     want = np.zeros((4, 3))
     want[2] = 1.0
     assert np.array_equal(table.grad, want)
@@ -479,9 +482,9 @@ def test_repeated_lookup_doubles_gradient():
     table = ad.parameter(np.random.default_rng(3).normal(size=(4, 3)))
 
     def value():
-        return float(ad.total(ad.concat_embeddings([(table, [1, 1])])).value)
+        return float(total(ad.concat_embeddings([(table, [1, 1])])).value)
 
-    backward(ad.total(ad.concat_embeddings([(table, [1, 1])])))
+    backward(total(ad.concat_embeddings([(table, [1, 1])])))
     assert np.array_equal(table.grad[1], np.full(3, 2.0))
     (fd,) = numeric_grad(value, [table.value])
     assert rel_err(table.grad, fd) < 1e-6
@@ -513,12 +516,12 @@ def test_concat_embeddings_equals_per_table_lookups_and_concat():
     lookups = record_lookups(rng)
     c = rng.normal(size=(40, 14))
     fused = ad.concat_embeddings(lookups)
-    backward(ad.total(ad.cmul(fused, c)))
+    backward(total(cmul(fused, c)))
     got = [t.grad for t, _ in lookups]
     for t, _ in lookups:
         t.grad = None
     ref = ad.concat_cols([lookup_reference(t, i) for t, i in lookups])
-    backward(ad.total(ad.cmul(ref, c)))
+    backward(total(cmul(ref, c)))
     assert np.array_equal(fused.value, ref.value)
     for g, (t, _) in zip(got, lookups):
         assert np.array_equal(g, t.grad)
@@ -530,7 +533,7 @@ def test_concat_embeddings_gradient_finite_difference():
     c = rng.normal(size=(12, 14))
 
     def build():
-        return ad.total(ad.cmul(ad.concat_embeddings(lookups), c))
+        return total(cmul(ad.concat_embeddings(lookups), c))
 
     backward(build())
     tables = [t for t, _ in lookups]
@@ -540,108 +543,139 @@ def test_concat_embeddings_gradient_finite_difference():
 
 
 # ---------------------------------------------------------------------------
-# softmax cross-entropy
+# the training objective node, `objective.total_loss`
 # ---------------------------------------------------------------------------
+
+def line_coords(k):
+    """k locations about 1.1 km apart on a north-south line."""
+    return [(40.70 + 0.01 * i, -74.00) for i in range(k)]
+
+
+def heads_of(loc, t=None, cat=None) -> BranchState:
+    return BranchState(*(None if a is None else ad.parameter(np.asarray(a, dtype=np.float64)) for a in (t, cat, loc)))
+
 
 def test_uniform_logits_loss_is_log_k():
     for k in (2, 5, 17):
-        loss = ad.cmul(ad.softmax_xent(ad.constant(np.zeros((1, k))), [0]), [3.0])
-        assert float(loss.value[0]) == pytest.approx(3.0 * math.log(k), abs=1e-12)
+        # the tied argmax is index 0, the location target: no spatial term
+        state = heads_of(np.zeros((1, k)), cat=np.zeros((1, k)))
+        _, bd = total_loss(state, np.zeros(1), np.array([k - 1]), np.array([0]), LossWeights(0.0, 3.0, 10.0),
+                           line_coords(k))
+        assert bd.loc == pytest.approx(math.log(k), abs=1e-12)
+        assert bd.cat == pytest.approx(math.log(k), abs=1e-12)
+        assert bd.spatial == 0.0
+        assert bd.total == pytest.approx(4.0 * math.log(k), abs=1e-12)
 
 
 def test_zero_weight_zero_loss_and_grad():
-    logits = ad.parameter(np.random.default_rng(4).normal(size=(1, 5)))
-    loss = ad.total(ad.cmul(ad.softmax_xent(logits, [2]), [0.0]))
-    assert float(loss.value) == 0.0
-    backward(loss)
-    assert np.array_equal(logits.grad, np.zeros((1, 5)))
+    rng = np.random.default_rng(4)
+    state = heads_of(rng.normal(size=(2, 3)), t=rng.uniform(size=(2, 1)), cat=rng.normal(size=(2, 5)))
+    node, bd = total_loss(state, np.array([0.1, 0.7]), np.array([2, 4]), np.array([0, 1]),
+                          LossWeights(0.0, 0.0, 0.0), line_coords(3))
+    assert bd.total == bd.loc
+    backward(node)
+    assert np.array_equal(state.t_hat.grad, np.zeros((2, 1)))
+    assert np.array_equal(state.cat_logits.grad, np.zeros((2, 5)))
 
 
 def test_xent_matches_direct_formula():
     rng = np.random.default_rng(5)
-    z = rng.normal(size=3)
-    loss = ad.softmax_xent(ad.constant(z[None]), [1])
-    want = -math.log(math.exp(z[1]) / sum(math.exp(v) for v in z))
-    assert float(loss.value[0]) == pytest.approx(want, abs=1e-12)
+    z, zc = rng.normal(size=3), rng.normal(size=4)
+    _, bd = total_loss(heads_of(z[None], cat=zc[None]), np.zeros(1), np.array([3]), np.array([1]), LossWeights(),
+                       line_coords(3))
+    assert bd.loc == pytest.approx(-math.log(math.exp(z[1]) / sum(math.exp(v) for v in z)), abs=1e-12)
+    assert bd.cat == pytest.approx(-math.log(math.exp(zc[3]) / sum(math.exp(v) for v in zc)), abs=1e-12)
 
 
 def test_softmax_probabilities_sum_to_one():
+    """Without the spatial term a row's gradient is (softmax - one-hot) / B."""
     rng = np.random.default_rng(6)
-    p = ad.softmax(rng.normal(size=(7, 11)) * 20)
+    n, k = 7, 11
+    state = heads_of(rng.normal(size=(n, k)) * 20)
+    targets = rng.integers(0, k, size=n)
+    node, _ = total_loss(state, np.zeros(n), np.zeros(n, dtype=int), targets, LossWeights(lambda_s=0.0),
+                         line_coords(k))
+    backward(node)
+    p = state.loc_logits.grad * n
+    p[np.arange(n), targets] += 1.0
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    assert p.min() >= 0.0 and p.max() <= 1.0
 
 
 @given(st.floats(min_value=-50, max_value=50))
 def test_xent_shift_invariance(c):
-    z = np.array([[0.3, -1.2, 2.0, 0.0]])
-    a = ad.softmax_xent(ad.constant(z), [2]).value
-    b = ad.softmax_xent(ad.constant(z + c), [2]).value
-    assert np.allclose(a, b, atol=1e-9)
+    z, zc = np.array([[0.3, -1.2, 2.0]]), np.array([[0.3, -1.2, 2.0, 0.0]])
+
+    def breakdown(shift):
+        state = heads_of(z + shift, t=[[0.3]], cat=zc + shift)
+        bd = total_loss(state, np.array([0.9]), np.array([2]), np.array([1]), LossWeights(), line_coords(3))[1]
+        return [bd.loc, bd.cat, bd.spatial, bd.total]
+
+    assert np.allclose(breakdown(0.0), breakdown(c), atol=1e-9)
+
+
+def check_loss_gradient(has_t, has_cat, lambda_s):
+    """Finite differences of total_loss over every active head."""
+    rng = np.random.default_rng(7)
+    n = 4
+    state = heads_of(rng.normal(size=(n, 3)), t=rng.uniform(0.05, 0.95, size=(n, 1)) if has_t else None,
+                     cat=rng.normal(size=(n, 5)) if has_cat else None)
+    target_t = np.zeros(n)
+    if has_t:  # errors away from 0 and 1/2, where the wrapped error has kinks
+        target_t = (state.t_hat.value.reshape(-1) + rng.uniform(0.1, 0.4, n) * rng.choice([-1, 1], n)) % 1.0
+    targets = (target_t, rng.integers(0, 5, n), np.array([0, 2, 1, 2]))
+    weights = LossWeights(2.0, 3.0, lambda_s)
+
+    def value():
+        return float(total_loss(state, *targets, weights, line_coords(3))[0].value)
+
+    backward(total_loss(state, *targets, weights, line_coords(3))[0])
+    heads = [h for h in (state.loc_logits, state.t_hat, state.cat_logits) if h is not None]
+    for h, fd in zip(heads, numeric_grad(value, [h.value for h in heads], eps=1e-5)):
+        assert rel_err(h.grad, fd) < 1e-6
 
 
 def test_xent_gradient_finite_difference():
-    rng = np.random.default_rng(7)
-    logits = ad.parameter(rng.normal(size=(3, 4)))
-    w = np.array([1.0, 0.5, 2.0])
+    for has_cat in (False, True):
+        for lambda_s in (0.0, 10.0):
+            check_loss_gradient(False, has_cat, lambda_s)
 
-    def value():
-        return float(ad.mean(ad.cmul(ad.softmax_xent(logits, [0, 3, 1]), w)).value)
-
-    backward(ad.mean(ad.cmul(ad.softmax_xent(logits, [0, 3, 1]), w)))
-    (fd,) = numeric_grad(value, [logits.value])
-    assert rel_err(logits.grad, fd) < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# circular absolute error
-# ---------------------------------------------------------------------------
 
 def test_circular_abs_values():
-    pred = ad.constant(np.array([[0.99], [0.10], [0.50]]))
-    got = ad.circular_abs(pred, np.array([0.01, 0.30, 0.50])).value
-    assert np.allclose(got, [0.02, 0.20, 0.0], atol=1e-12)
+    for pred, target, want in ((0.99, 0.01, 0.02), (0.10, 0.30, 0.20), (0.50, 0.50, 0.0)):
+        _, bd = total_loss(heads_of([[1.0, 0.0, 0.0]], t=[[pred]]), np.array([target]), np.array([0]),
+                           np.array([0]), LossWeights(), line_coords(3))
+        assert bd.time == pytest.approx(want, abs=1e-12)
 
 
 def test_circular_abs_gradient():
-    rng = np.random.default_rng(8)
-    pred = ad.parameter(rng.uniform(0.05, 0.95, size=(4, 1)))
-    t = rng.uniform(0, 1, size=4)
+    for has_cat in (False, True):
+        for lambda_s in (0.0, 10.0):
+            check_loss_gradient(True, has_cat, lambda_s)
 
-    def value():
-        return float(ad.mean(ad.circular_abs(pred, t)).value)
-
-    backward(ad.mean(ad.circular_abs(pred, t)))
-    (fd,) = numeric_grad(value, [pred.value])
-    assert rel_err(pred.grad, fd) < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# composite finite-difference property
-# ---------------------------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_composite_gradient_check(seed):
     rng = np.random.default_rng(seed)
-    d_in, hd, k = rng.integers(1, 5), rng.integers(1, 7), rng.integers(2, 6)
+    d_in, hd, k, kc = rng.integers(1, 5), rng.integers(1, 7), rng.integers(2, 6), rng.integers(2, 4)
     w = GRUWeights(
         ad.parameter(rng.normal(size=(3 * hd, d_in))),
         ad.parameter(rng.normal(size=(3 * hd, hd))),
         ad.parameter(rng.normal(size=3 * hd)),
     )
-    head_w = ad.parameter(rng.normal(size=(k, hd)))
-    head_b = ad.parameter(rng.normal(size=k))
+    heads = {name: (ad.parameter(rng.normal(size=(m, hd))), ad.parameter(rng.normal(size=m)))
+             for name, m in (("t", 1), ("cat", kc), ("loc", k))}
     xs = [rng.normal(size=(2, d_in)) for _ in range(3)]
-    target = rng.integers(0, k, size=2)
+    targets = (rng.uniform(0, 1, size=2), rng.integers(0, kc, size=2), rng.integers(0, k, size=2))
 
     def build():
         h, _ = ad.gru_sequence(ad.constant(np.concatenate(xs)), ad.constant(np.zeros((2, hd))), w, full(2, 3))
-        logits = ad.affine(h, head_w, head_b)
-        return ad.mean(ad.softmax_xent(logits, target))
+        state = BranchState(*(ad.affine(h, *heads[name]) for name in ("t", "cat", "loc")))
+        return total_loss(state, *targets, LossWeights(lambda_s=0.0), line_coords(k))[0]
 
-    loss = build()
-    backward(loss)
-    params = [w.w_x, w.w_h, w.bias, head_w, head_b]
+    backward(build())
+    params = [w.w_x, w.w_h, w.bias] + [p for pair in heads.values() for p in pair]
     fds = numeric_grad(lambda: float(build().value), [p.value for p in params])
     for p, fd in zip(params, fds):
         assert rel_err(p.grad, fd) < 1e-4

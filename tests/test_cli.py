@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from test_autodiff import checkpoint_with_shape
 
 from nextloc.cli import main
+from nextloc.params import load_checkpoint
 
 FIXTURE = Path(__file__).parent / "data" / "checkins_foursquare.txt"
 
@@ -297,6 +299,46 @@ def test_sweep_tiny_grid(tmp_path):
     lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert lines[1] == "lambda_s,mean_recall_at_1,sd,n_seeds"
     assert len(lines) == 4
+
+
+def test_evaluate_in_a_copied_run_directory(trained, tmp_path, capsys):
+    # the config hash leaves output_dir out, so a moved run keeps its checkpoint
+    run, cfg = trained
+    assert main(["evaluate", "--config", str(cfg), "--checkpoint", str(run / "out" / "best.ckpt")]) == 0
+    shutil.copytree(run / "out", tmp_path / "copy")
+    moved = ["--config", str(cfg), "--set", f"output_dir={tmp_path / 'copy'}"]
+    assert main(["evaluate", *moved, "--checkpoint", str(tmp_path / "copy" / "best.ckpt")]) == 0
+    assert (tmp_path / "copy" / "metrics.json").read_bytes() == (run / "out" / "metrics.json").read_bytes()
+
+
+def train_then_resume(tmp_path, capsys, *overrides):
+    """Train on the fixture, then resume from the run's best.ckpt; returns
+    best.ckpt and epochs.csv before and after the resume, and its output."""
+    cfg = write_config(tmp_path)
+    sets = [a for kv in overrides for a in ("--set", kv)]
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg), *sets]) == 0
+    before = [(out / name).read_bytes() for name in ("best.ckpt", "epochs.csv")]
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), *sets, "--resume", str(out / "best.ckpt")]) == 0
+    after = [(out / name).read_bytes() for name in ("best.ckpt", "epochs.csv")]
+    return before, after, capsys.readouterr().out
+
+
+def test_resume_past_the_last_epoch_writes_nothing(tmp_path, capsys):
+    before, after, printed = train_then_resume(tmp_path, capsys, "epochs=1")
+    assert after == before
+    assert printed.splitlines() == [f"nothing left to train: {tmp_path / 'out' / 'best.ckpt'} holds epoch 0 of 1"]
+
+
+def test_resume_keeps_the_early_stopping_record(tmp_path, capsys):
+    # at this learning rate all three epochs tie on recall@1, so epoch 0
+    # stays the best and the resumed epochs 1-2 only rewrite the same rows
+    before, after, printed = train_then_resume(tmp_path, capsys, "epochs=3", "learning_rate=0.0001")
+    assert load_checkpoint(tmp_path / "out" / "best.ckpt", moments=False)[1]["epoch"] == 0
+    assert [line.split(":")[0] for line in printed.splitlines()] == ["epoch 1", "epoch 2", "best epoch 0"]
+    assert after == before
 
 
 def test_train_without_prepare_names_missing_artifact(tmp_path, capsys):

@@ -12,6 +12,7 @@ reference's output gradient is zero there.
 import numpy as np
 import pytest
 
+from graph_ops import add, cmul, total
 from nextloc import autodiff as ad
 from nextloc.autodiff import GRUWeights, backward
 
@@ -110,7 +111,7 @@ def test_packed_gru_matches_full_rectangle_reference(case):
     x = ad.parameter(pack.gather(x_full))
 
     last, seq = ad.gru_sequence(x, h0, w, pack)
-    backward(ad.add(ad.total(ad.cmul(seq, pack.gather(g_seq))), ad.total(ad.cmul(last, g_last))))
+    backward(add(total(cmul(seq, pack.gather(g_seq))), total(cmul(last, g_last))))
     want_seq, want = reference_gru(x_full, h0.value, w.w_x.value, w.w_h.value, w.bias.value, mask, g_last, g_seq)
 
     assert_close(seq.value, pack.gather(want_seq))

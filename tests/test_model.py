@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graph_ops import total
 from nextloc import autodiff as ad
 from nextloc.model import (
     Batch,
@@ -482,16 +483,16 @@ def test_parameter_order_and_active_heads(variant, has_categories):
 
 def tape_bytes(loss) -> int:
     """Bytes of the values of every operation node reachable from `loss`."""
-    seen, stack, total = {id(loss)}, [loss], 0
+    seen, stack, nbytes = {id(loss)}, [loss], 0
     while stack:
         node = stack.pop()
         if node._backward is not None:
-            total += node.value.nbytes
+            nbytes += node.value.nbytes
         for p in node.parents:
             if id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    return total
+    return nbytes
 
 
 @pytest.mark.parametrize("variant", ["cslsl", "hlsl"])
@@ -510,7 +511,7 @@ def test_tape_grows_with_real_steps_not_padding(variant):
         pref_loc=pref, pref_cat=pref, pref_hour=pref, pref_day=pref, pref_mask=np.ones((bsz, 1)),
         target_t=np.full(bsz, 0.5), target_cat=np.ones(bsz, dtype=np.intp), target_loc=np.ones(bsz, dtype=np.intp),
     )
-    loss = ad.total(forward(store, cfg, batch).loc_logits)
+    loss = total(forward(store, cfg, batch).loc_logits)
     real = int(hist_mask.sum()) + bsz
     # per real pair: the five lookups and their concat, and per branch a packed
     # state and a hierarchical input; per row: final states, heads, converters

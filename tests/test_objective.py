@@ -171,3 +171,11 @@ def test_gradient_with_spatial_term_matches_finite_differences():
         fdflat[i] = (up - down) / (2 * eps)
     rel = np.abs(fd - logits.grad) / np.maximum.reduce([np.abs(fd), np.abs(logits.grad), np.full_like(fd, 1e-6)])
     assert rel.max() < 1e-4
+
+
+@pytest.mark.parametrize("has_t,has_cat", [(False, False), (True, False), (False, True), (True, True)])
+def test_loss_is_one_node_over_the_active_heads(has_t, has_cat):
+    state = state_of([[0.3, 0.1, -0.2]], t=[0.4] if has_t else None, cat=[[0.2, 0.7]] if has_cat else None)
+    node, _ = total_loss(state, np.array([0.5]), np.array([0]), np.array([1]), LossWeights(), COORDS)
+    heads = (state.loc_logits, state.t_hat, state.cat_logits)
+    assert node.parents == tuple(h for h in heads if h is not None)

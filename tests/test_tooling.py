@@ -1,5 +1,8 @@
-"""The test suite's own configuration."""
+"""The test suite's own configuration, and the files generated from the
+repository's sources."""
 
+import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +32,11 @@ def test_failing_hypothesis_test_reports_its_example(tmp_path):
     out = done.stdout + done.stderr
     assert done.returncode == 1, out
     assert "Falsifying example" in out and "INTERNALERROR" not in out, out
+
+
+def test_benchmark_json_matches_its_source():
+    """BENCHMARK.json is what `perfbench/run.py --write-spec` writes from
+    perfbench/spec.py."""
+    spec = runpy.run_path(str(ROOT / "perfbench" / "spec.py"))
+    want = json.dumps(spec["benchmark_json"](), indent=2) + "\n"
+    assert (ROOT / "BENCHMARK.json").read_text(encoding="utf-8") == want
