@@ -30,15 +30,17 @@ a backward pass would read, and `backward` on such an output raises
 `GradError`.
 
 The operations are the few the recurrent predictor needs. A `Packing` lists
-the real (row, step) pairs of a padded batch's 0/1 mask in time-major order,
-and sequences are stored packed over it, one (N, dim) row per real pair:
-padding is never embedded, run or stored. `gru_sequence` runs a whole GRU
-chain over a packed sequence as one node, with the input projection hoisted
-out of the recurrence, gate-major (3, N, H) gate buffers so each step's gate
-math runs on contiguous blocks, and hand-written backpropagation through
-time over the same blocks. `concat_embeddings` builds the chains' inputs,
-one node per sequence, and `concat_cols` and `affine` build the heads. The
-training objective over the heads is one node too, `objective.total_loss`.
+the real (row, step) pairs of a batch of left-aligned sequences step by
+step, each step's rows longest first, and sequences are stored packed over
+it, one (N, dim) row per real pair: padding is never embedded, run or
+stored. `gru_sequence` runs a whole GRU chain over a packed sequence as one
+node, with the input projection hoisted out of the recurrence, gate-major
+(3, N, H) gate buffers so each step's gate math runs on contiguous blocks,
+each step's previous states a slice of the previous step's, and
+hand-written backpropagation through time over the same blocks.
+`concat_embeddings` builds the chains' inputs, one node per sequence, and
+`concat_cols` and `affine` build the heads. The training objective over the
+heads is one node too, `objective.total_loss`.
 
 Conventions: sequences are packed time-major (N, dim); weight matrices are
 (out, in) and applied as ``x @ W.T``; no general broadcasting.
@@ -242,37 +244,35 @@ class GRUWeights:
 
 
 class Packing:
-    """The real (row, step) pairs of a (B, T) 0/1 mask, in time-major order.
+    """Left-aligned sequences of a (B, T) mask, packed by length.
 
-    A sequence is stored packed: row k of an (N, ...) array belongs to pair
-    k = (rows[k], cols[k]), and the pairs of step t are off[t]:off[t+1], in
-    increasing row order. A GRU over the packing keeps its states in one
-    (B + N, H) array whose first B rows are h0 and whose row B + k is the
-    state after pair k: `prev[k]` is the row pair k starts from (its batch
-    row's previous pair, or that row's h0) and `last[b]` the row holding
-    batch row b's final state. Any 0/1 pattern is valid, holes and empty
-    rows or steps included; other values raise `GradError`.
+    Each mask row must be 1s then 0s; anything else (a hole, a value other
+    than 0 and 1) raises `GradError`. `order` lists the rows longest first,
+    ties by row index, and each step lists its real rows in that order, so
+    step t's rows are the first rows of step t - 1's, as in PyTorch's
+    `pack_padded_sequence` and cuDNN's packed RNNs. Row k of a packed
+    (N, ...) array belongs to pair k = (rows[k], cols[k]); step t's pairs
+    are off[t]:off[t+1]. A GRU keeps its states in one (B + N, H) array:
+    h0 in `order`, then the state after each pair; `last[b]` is the row of
+    batch row b's final state, its h0 row when the row is empty.
     """
 
     def __init__(self, mask):
         m = np.asarray(mask, dtype=np.float64)
         if m.ndim != 2:
             raise GradError(f"a sequence mask must be (B, T), got shape {m.shape}")
-        if not ((m == 0.0) | (m == 1.0)).all():
-            raise GradError("a sequence mask must hold only 0 and 1")
         self.batch, self.steps = m.shape
-        self.cols, self.rows = np.nonzero(m.T == 1.0)
-        self.off = np.searchsorted(self.cols, np.arange(self.steps + 1))
-        order = np.argsort(self.rows, kind="stable")  # each batch row's pairs, in step order
-        r = self.rows[order]
-        starts = np.ones(len(r), dtype=bool)
-        starts[1:] = r[1:] != r[:-1]
-        ends = np.ones(len(r), dtype=bool)
-        ends[:-1] = starts[1:]
-        self.prev = np.empty(len(r), dtype=np.intp)
-        self.prev[order] = np.where(starts, r, self.batch + np.roll(order, 1))
-        self.last = np.arange(self.batch)
-        self.last[r[ends]] = self.batch + order[ends]
+        lengths = np.count_nonzero(m == 1.0, axis=1)
+        if not (m == (np.arange(self.steps) < lengths[:, None])).all():
+            raise GradError("a sequence mask must be 1s then 0s in every row")
+        self.order = np.argsort(-lengths, kind="stable")
+        per_step = np.count_nonzero(m, axis=0)
+        self.off = np.concatenate(([0], np.cumsum(per_step)))
+        self.cols = np.repeat(np.arange(self.steps), per_step)
+        self.rows = self.order[np.arange(self.off[-1]) - self.off[self.cols]]
+        block = np.concatenate(([0], self.batch + self.off[:-1]))  # state row of h0's block, then each step's
+        self.last = np.empty(self.batch, dtype=np.intp)
+        self.last[self.order] = block[lengths[self.order]] + np.arange(self.batch)
 
     @property
     def size(self) -> int:
@@ -299,19 +299,20 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
     Layout: the input projection is one product per gate over all pairs,
     hoisted out of the recurrence into a gate-major (3, N, H) buffer, so a
     step's z, r and n are contiguous (rows, H) blocks that the gate math
-    updates in place. Step t gathers its rows' previous states by index from
-    the (B + N, H) state array into a small scratch, runs its recurrent
-    product into a preallocated buffer and writes its new states to a
-    contiguous block. With a graph recorded, the forward keeps the gates,
-    the states and `U_n h` of every pair: (5N + B) H floats.
+    updates in place. The states live in one (B + N, H) array, h0 first in
+    `pack.order`; since step t's rows lead step t - 1's, step t reads its
+    previous states as a slice of the previous block, runs its recurrent
+    product into a preallocated buffer and writes its new states to the
+    next block. With a graph recorded, the forward keeps the gates, the
+    states and `U_n h` of every pair: (5N + B) H floats.
 
     Backpropagation through time visits the same blocks in reverse and
     writes each step's gate gradients over the buffers that step saved,
     which no later step reads: d(U h) for z, r and n over the gates, and
-    d(W_n x) over `U_n h`. It gathers previous states from the state array
-    again, so no per-pair copy of them is kept. Its only (N, H) allocation
-    is the state gradient; once the time loop ends, that array's pair rows
-    take the previous states for `dW_h`'s single product. The weight and
+    d(W_n x) over `U_n h`. Its only (N, H) allocation is the state
+    gradient; each step adds its previous states' gradient into the
+    previous block's rows, and then, its own rows being dead, copies its
+    previous states into them for `dW_h`'s single product. The weight and
     bias gradients are one product or sum per gate over all pairs, and `dx`
     is one (N, in) product per gate. Having overwritten its buffers, the
     node can be backpropagated only once.
@@ -328,14 +329,10 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
             or w.bias.value.shape != (3 * hd,)):
         raise GradError(f"gru_sequence shape mismatch: x {x.shape} for {n_pairs} pairs, h0 {h0.shape}, "
                         f"w_x {w.w_x.shape}")
-    if n_pairs == 0:
-        def bw_empty(g):
-            return g, np.zeros_like(w.w_x.value), np.zeros_like(w.w_h.value), np.zeros_like(w.bias.value)
-
-        final = Tensor(h0.value, parents=(h0, w.w_x, w.w_h, w.bias), backward=bw_empty)
-        return final, constant(np.zeros((0, hd)))
     d_in = x.value.shape[1]
-    off, prev = pack.off, pack.prev
+    off, order = pack.off, pack.order
+    # step t's previous states are the first rows of the block at state row `start[t]`: h0's, then each step's
+    start = np.concatenate(([0], bsz + off[:-2]))
     record = _grad_enabled
     wx = w.w_x.value.reshape(3, hd, d_in)
     wh = w.w_h.value.reshape(3, hd, hd)
@@ -345,16 +342,15 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
     gates = np.matmul(x.value, wx.transpose(0, 2, 1))
     gates += w.bias.value.reshape(3, 1, hd)
     hs = np.empty((bsz + n_pairs, hd))
-    hs[:bsz] = h0.value
+    hs[:bsz] = h0.value[order]
     un_h = np.empty((n_pairs, hd)) if record else None
     uh = np.empty((3, bsz, hd))
-    scratch = np.empty((2, bsz, hd))
+    scratch = np.empty((bsz, hd))
     for t in range(pack.steps):
         lo, hi = off[t], off[t + 1]
         if lo == hi:
-            continue
-        h, tmp = scratch[:, : hi - lo]
-        np.take(hs, prev[lo:hi], axis=0, out=h, mode="clip")  # valid indices; "clip" writes out= unbuffered
+            break
+        h, tmp = hs[start[t]: start[t] + hi - lo], scratch[: hi - lo]
         u = uh[:, : hi - lo]
         np.matmul(h, wh_t, out=u)
         zr, z, r, n = gates[:2, lo:hi], gates[0, lo:hi], gates[1, lo:hi], gates[2, lo:hi]
@@ -371,8 +367,7 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
         h_new = hs[bsz + lo: bsz + hi]
         np.subtract(1.0, z, out=h_new)
         h_new *= n
-        zh = np.multiply(z, h, out=tmp)
-        h_new += zh
+        h_new += np.multiply(z, h, out=tmp)
 
     last = pack.last
     last_grad = None  # the gradient the final states received, for the BPTT below
@@ -392,16 +387,15 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
             if lo == hi:
                 continue
             z, r, n, unh = gates[0, lo:hi], gates[1, lo:hi], gates[2, lo:hi], un_h[lo:hi]
-            d_new = dh[bsz + lo: bsz + hi]
+            d_new, h_prev = dh[bsz + lo: bsz + hi], hs[start[t]: start[t] + hi - lo]
             h, s, dn, d_prev = scratch[:, : hi - lo]
-            np.take(hs, prev[lo:hi], axis=0, out=h, mode="clip")
             np.multiply(n, n, out=s)
             np.subtract(1.0, s, out=s)
             np.multiply(d_new, s, out=dn)
             np.subtract(1.0, z, out=s)
             dn *= s                        # d(W_n x) = d_new (1 - n^2) (1 - z)
             np.multiply(d_new, z, out=d_prev)
-            h -= n
+            np.subtract(h_prev, n, out=h)
             h *= d_new
             h *= z
             np.multiply(h, s, out=z)       # d(U_z h) = d_new (h - n) z (1 - z)
@@ -416,17 +410,19 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
             d_prev += u[0]
             d_prev += u[1]
             d_prev += u[2]
-            dh[prev[lo:hi]] += d_prev      # a step's rows are distinct
+            dh[start[t]: start[t] + hi - lo] += d_prev
+            d_new[...] = h_prev            # this step's state gradient is dead; dW_h reads the previous states
         dgx = (gates[0], gates[1], un_h)   # d(loss)/d(W x) per gate
         dx = dgx[0] @ wx[0]
         dx += dgx[1] @ wx[1]
         dx += dgx[2] @ wx[2]
-        h_prev = np.take(hs, prev, axis=0, out=dh[bsz:], mode="clip")  # dh's pair rows are dead by now
+        dh0 = np.empty((bsz, hd))
+        dh0[order] = dh[:bsz]
         return (
             dx,
-            dh[:bsz],
+            dh0,
             np.concatenate([d.T @ x.value for d in dgx]),
-            np.matmul(gates.transpose(0, 2, 1), h_prev).reshape(3 * hd, hd),
+            np.matmul(gates.transpose(0, 2, 1), dh[bsz:]).reshape(3 * hd, hd),
             np.concatenate([d.sum(axis=0) for d in dgx]),
         )
 

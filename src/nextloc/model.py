@@ -131,7 +131,9 @@ class Batch:
     """Padded index arrays for a batch of prediction instances.
 
     History is all prior sessions flattened chronologically; prefix is the
-    current session up to the target. Masks are 1.0 for real steps.
+    current session up to the target. Each sequence is left-aligned in its
+    row, so masks are 1s then 0s per row, 1.0 at real steps; `forward`
+    raises `GradError` for any other mask.
     """
 
     user: np.ndarray            # (B,)

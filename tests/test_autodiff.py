@@ -220,8 +220,8 @@ def test_gru_mask_passes_state_through():
     assert np.array_equal(w.w_x.grad, np.zeros_like(w.w_x.grad))
 
 
-# rows end early, skip a middle step, are all padding, and run every step
-RAGGED = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+# rows end early, are all padding, and run every step; two rows tie in length
+RAGGED = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
 
 
 def random_gru(rng, d_in, hd):
@@ -793,6 +793,17 @@ def test_clip_global_norm():
     b.grad = np.array([0.0, 40.0])
     store.clip_global_norm(5.0)
     assert np.allclose(a.grad, [3.0, 0.0]) and np.allclose(b.grad, [0.0, 4.0])
+
+
+def test_grad_norm_matches_the_sum_of_squares():
+    rng = np.random.default_rng(11)
+    store = ParamStore(seed=0)
+    for name, shape in (("w", (382, 36)), ("b", (382,)), ("t", (5, 7)), ("unused", (3,))):
+        store.add(name, shape, init="zeros")
+    for name in ("w", "b", "t"):
+        store[name].grad = rng.normal(size=store[name].shape) * 10.0 ** rng.integers(-3, 4)
+    want = float(np.sqrt(sum(float((g ** 2).sum()) for g in (store[n].grad for n in ("w", "b", "t")))))
+    assert abs(store.grad_norm() - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 `reference_gru` is the algorithm `gru_sequence` used before it ran only on
 real steps: every step computes all B rows, the mask blends the new state
 with the old one, and backpropagation through time runs over the whole
-(B, T) rectangle with masked rows passing their gradient through. Packing
-must give the same states and gradients at the real (row, step) pairs up to
-summation order; the packed layout has no padded positions, so the
-reference's output gradient is zero there.
+(B, T) rectangle with masked rows passing their gradient through. The
+masks are left-aligned, 1s then 0s in every row, as `Packing` requires; it
+packs each step's real rows longest first. Packing must give the same
+states and gradients at the real (row, step) pairs up to summation order;
+the packed layout has no padded positions, so the reference's output
+gradient is zero there.
 """
 
 import numpy as np
@@ -75,15 +77,15 @@ def assert_close(got, want):
     assert np.abs(got - want).max() <= 1e-12 * scale
 
 
-HOLES = np.array([[1, 0, 1, 1, 0], [1, 1, 0, 0, 1], [0, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=float)
-EMPTY_STEP = np.array([[1, 1, 0, 1, 0], [1, 0, 0, 1, 1], [1, 1, 0, 0, 0], [1, 1, 0, 1, 1]], dtype=float)
+MIXED_LENGTHS = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 0, 0], [1, 1, 1, 1, 0], [1, 1, 1, 0, 0]], dtype=float)
+EMPTY_TRAILING_STEP = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 0, 0], [1, 1, 0, 0, 0], [1, 1, 1, 1, 0]], dtype=float)
 EMPTY_ROW = np.array([[1, 1, 1, 0, 0], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]], dtype=float)
 CASES = {
-    "holes": (4, HOLES),
-    "empty-step": (4, EMPTY_STEP),
+    "mixed-lengths": (4, MIXED_LENGTHS),
+    "empty-trailing-step": (4, EMPTY_TRAILING_STEP),
     "empty-row": (4, EMPTY_ROW),
     "no-mask": (4, None),
-    "one-row": (1, np.array([[1, 1, 0, 1, 0]], dtype=float)),
+    "one-row": (1, np.array([[1, 1, 1, 0, 0]], dtype=float)),
     "one-row-no-mask": (1, None),
 }
 
@@ -126,12 +128,43 @@ def test_non_binary_mask_rejected():
         ad.Packing(np.array([[1.0, 0.5, 0.0], [1.0, 1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("mask", [[[1, 0, 1]], [[0, 1, 1], [1, 1, 1]], [[1, 1, 0, 1, 0]]])
+def test_mask_with_a_hole_rejected(mask):
+    with pytest.raises(ad.GradError, match="1s then 0s"):
+        ad.Packing(np.array(mask, dtype=float))
+
+
+def test_steps_list_longest_rows_first_and_last_indexes_final_states():
+    lengths = np.array([2, 0, 3, 2, 1])
+    pack = ad.Packing(np.arange(3) < lengths[:, None])
+    assert pack.order.tolist() == [2, 0, 3, 4, 1]  # ties keep row order
+    assert pack.off.tolist() == [0, 4, 7, 8]
+    steps = [pack.rows[lo:hi].tolist() for lo, hi in zip(pack.off[:-1], pack.off[1:])]
+    assert steps == [[2, 0, 3, 4], [2, 0, 3], [2]]
+    assert pack.cols.tolist() == [0, 0, 0, 0, 1, 1, 1, 2]
+    # state rows: h0 in `order` (0-4), then the pairs (5-12)
+    assert pack.last.tolist() == [10, 4, 12, 11, 8]
+
+    rng = np.random.default_rng(9)
+    w = GRUWeights(*(ad.constant(rng.normal(size=s)) for s in ((12, 3), (12, 4), (12,))))
+    h0 = rng.normal(size=(5, 4))
+    last, seq = ad.gru_sequence(ad.constant(rng.normal(size=(pack.size, 3))), ad.constant(h0), w, pack)
+    for b, n in enumerate(lengths):
+        if n:
+            k = pack.last[b] - pack.batch
+            assert (pack.rows[k], pack.cols[k]) == (b, n - 1)
+            assert np.array_equal(last.value[b], seq.value[k])
+        else:
+            assert pack.order[pack.last[b]] == b
+            assert np.array_equal(last.value[b], h0[b])
+
+
 def test_input_rows_must_match_the_packing():
     rng = np.random.default_rng(0)
     w = GRUWeights(*(ad.parameter(rng.normal(size=s)) for s in ((12, 3), (12, 4), (12,))))
-    pack = ad.Packing(HOLES)  # 13 real pairs
+    pack = ad.Packing(MIXED_LENGTHS)  # 13 real pairs
     with pytest.raises(ad.GradError):
-        ad.gru_sequence(ad.constant(np.zeros((HOLES.size, 3))), ad.constant(np.zeros((4, 4))), w, pack)
+        ad.gru_sequence(ad.constant(np.zeros((MIXED_LENGTHS.size, 3))), ad.constant(np.zeros((4, 4))), w, pack)
     with pytest.raises(ad.GradError):
         ad.gru_sequence(ad.constant(np.zeros((pack.size - 1, 3))), ad.constant(np.zeros((4, 4))), w, pack)
 
@@ -139,7 +172,7 @@ def test_input_rows_must_match_the_packing():
 def test_no_grad_gru_keeps_no_graph_and_same_states():
     rng = np.random.default_rng(7)
     w = GRUWeights(*(ad.parameter(rng.normal(size=s)) for s in ((12, 3), (12, 4), (12,))))
-    pack = ad.Packing(HOLES)
+    pack = ad.Packing(MIXED_LENGTHS)
     x, h0 = ad.parameter(pack.gather(rng.normal(size=(4, 5, 3)))), ad.parameter(rng.normal(size=(4, 4)))
     last, seq = ad.gru_sequence(x, h0, w, pack)
     with ad.no_grad():

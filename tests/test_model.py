@@ -114,7 +114,7 @@ def test_embed_step_packs_real_records_time_major():
     loc, hour = np.array([[0, 2, 1], [1, 0, 0]]), np.array([[3, 4, 5], [6, 0, 0]])
     pack = ad.Packing(np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]))
     e = embed_step(store, cfg, loc, loc % 2, hour, hour % 7, [0, 1], pack)
-    # (row, step) pairs in time-major order: (0, 0), (1, 0), (0, 1), (0, 2)
+    # (row, step) pairs step by step, longest row first: (0, 0), (1, 0), (0, 1), (0, 2)
     want = [np_embed(store, cfg, (loc[i, t], loc[i, t] % 2, hour[i, t], hour[i, t] % 7), i)
             for i, t in ((0, 0), (1, 0), (0, 1), (0, 2))]
     assert np.array_equal(e.value, np.stack(want))
@@ -420,6 +420,15 @@ def test_forward_deterministic():
     b = forward(store, cfg, BATCH)
     assert np.array_equal(a.loc_logits.value, b.loc_logits.value)
     assert np.array_equal(a.t_hat.value, b.t_hat.value)
+
+
+def test_forward_rejects_a_history_mask_with_a_hole():
+    cfg = toy_config()
+    store = build_params(cfg, seed=3)
+    batch = make_batch([(0, 1, 3, 2), (1, 0, 5, 6), (2, 1, 7, 0)], [(1, 1, 9, 1)])
+    batch.hist_mask = np.array([[1.0, 0.0, 1.0]])
+    with pytest.raises(ad.GradError, match="1s then 0s"):
+        forward(store, cfg, batch)
 
 
 # ---------------------------------------------------------------------------
