@@ -19,8 +19,8 @@ allocates gradient buffers, and `ParamStore.adam_step` (or `zero_grad`)
 releases them, so in training they exist only from a step's `backward` to
 its update.
 
-A graph holding a `gru_sequence` node can be backpropagated once: that
-node's backward writes its gate gradients over the gate buffers the forward
+A graph holding a `gru_sequence` chain can be backpropagated once: the
+chain's node writes its gate gradients over the gate buffers the forward
 saved. A second `backward` through such a graph raises `GradError` before
 any `.grad` changes. Graphs without one still accumulate on every call.
 
@@ -34,10 +34,10 @@ the real (row, step) pairs of a batch of left-aligned sequences step by
 step, each step's rows longest first, and sequences are stored packed over
 it, one (N, dim) row per real pair: padding is never embedded, run or
 stored. `gru_sequence` runs a whole GRU chain over a packed sequence as one
-node, with the input projection hoisted out of the recurrence, gate-major
-(3, N, H) gate buffers so each step's gate math runs on contiguous blocks,
-each step's previous states a slice of the previous step's, and
-hand-written backpropagation through time over the same blocks.
+node, its final states, with the input projection hoisted out of the
+recurrence, gate-major (3, N, H) gate buffers so each step's gate math runs
+on contiguous blocks, each step's previous states a slice of the previous
+step's, and hand-written backpropagation through time over the same blocks.
 `concat_embeddings` builds the chains' inputs, one node per sequence, and
 `concat_cols` and `affine` build the heads. The training objective over the
 heads is one node too, `objective.total_loss`.
@@ -115,7 +115,9 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Add d(loss)/d(parameter) into every reachable parameter's .grad."""
+    """Add d(loss)/d(parameter) into every reachable parameter's .grad.
+    A node runs after all its consumers, so one may read what a consumer's
+    backward stored, as a GRU chain's node reads its per-pair states'."""
     if loss.value.size != 1:
         raise GradError(f"backward requires a scalar, got shape {loss.shape}")
     if loss._backward is None and not loss.requires_grad:
@@ -135,10 +137,7 @@ def backward(loss: Tensor) -> None:
             node.grad += c
         elif node._backward is not None:
             prior = grads.get(id(node))
-            if prior is None or _is_broadcast_zero(prior):
-                grads[id(node)] = c
-            elif not _is_broadcast_zero(c):
-                grads[id(node)] = prior + c  # never in place: c may be shared
+            grads[id(node)] = c if prior is None else prior + c  # never in place: c may be shared
 
     receive(loss, np.ones_like(loss.value))
     for node in reversed(order):
@@ -150,12 +149,6 @@ def backward(loss: Tensor) -> None:
             for parent, c in zip(node.parents, bw(g), strict=True):
                 if c is not None:
                     receive(parent, c)
-
-
-def _is_broadcast_zero(a: np.ndarray) -> bool:
-    """Whether `a` is one stored 0 broadcast to its shape, as a GRU's
-    final-state node hands its states: a contribution that adds nothing."""
-    return a.size > 0 and not any(a.strides) and a.flat[0] == 0.0
 
 
 def _spent(g):
@@ -317,11 +310,13 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
     is one (N, in) product per gate. Having overwritten its buffers, the
     node can be backpropagated only once.
 
-    The final states are a node over `seq`, the GRU's node. Its backward
-    keeps its (B, H) gradient for the BPTT, which adds it into the state
-    gradient's rows that hold each batch row's final state, and hands `seq`
-    a broadcast zero, so that `seq` runs after it: no (N, H) array carries
-    the final-state gradient.
+    The final states are the GRU's node, and its backward is the BPTT,
+    which adds their gradient into the state gradient's rows that hold each
+    batch row's final state. The per-pair states are a node over the final
+    states, read only by the hierarchical variant. Its backward keeps its
+    (N, H) gradient for the BPTT and hands the final states a (B, H) zero,
+    so they run after it; where nothing reads the per-pair states, their
+    node is not in the graph at all.
     """
     bsz, n_pairs, hd = pack.batch, pack.size, w.hidden
     if (x.value.ndim != 2 or x.value.shape[0] != n_pairs or h0.value.shape != (bsz, hd)
@@ -370,16 +365,16 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
         h_new += np.multiply(z, h, out=tmp)
 
     last = pack.last
-    last_grad = None  # the gradient the final states received, for the BPTT below
+    states_grad = None  # the gradient the per-pair states received, for the BPTT below
 
     @_single_use
-    def bw_seq(g):
-        nonlocal last_grad
+    def bw_final(g):
+        nonlocal states_grad
         dh = np.zeros((bsz + n_pairs, hd))  # d(loss)/d(state), h0 rows first
-        dh[bsz:] = g
-        if last_grad is not None:
-            dh[last] += last_grad          # distinct rows; a row without pairs ends in its h0 row
-            last_grad = None
+        if states_grad is not None:
+            dh[bsz:] = states_grad
+            states_grad = None
+        dh[last] += g                      # distinct rows; a row without pairs ends in its h0 row
         uh = np.empty((3, bsz, hd))
         scratch = np.empty((4, bsz, hd))
         for t in reversed(range(pack.steps)):
@@ -426,11 +421,11 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
             np.concatenate([d.sum(axis=0) for d in dgx]),
         )
 
-    seq = Tensor(hs[bsz:], parents=(x, h0, w.w_x, w.w_h, w.bias), backward=bw_seq)
+    final = Tensor(hs[last], parents=(x, h0, w.w_x, w.w_h, w.bias), backward=bw_final)
 
-    def bw_last(g):
-        nonlocal last_grad
-        last_grad = g
-        return (np.broadcast_to(0.0, seq.shape),)  # so that `seq`, its parent, runs after it
+    def bw_states(g):
+        nonlocal states_grad
+        states_grad = g
+        return (np.full((bsz, hd), -0.0),)  # x + -0.0 is x bit for bit, -0.0 included
 
-    return Tensor(hs[last], parents=(seq,), backward=bw_last), seq
+    return final, Tensor(hs[bsz:], parents=(final,), backward=bw_states)

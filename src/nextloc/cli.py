@@ -155,11 +155,17 @@ def cmd_train(cfg: RunConfig, resume: str | None) -> None:
     initial, start_epoch, best_recall, logged = None, 0, -1.0, []
     if resume:
         initial, meta = _load_matching_checkpoint(cfg, resume, mc, moments=True)
-        start_epoch = int(meta.get("epoch", -1)) + 1
+        try:
+            start_epoch = int(meta.get("epoch", -1)) + 1
+            best_recall = float(meta.get("best_recall_at_1", -1.0))
+            if not math.isfinite(best_recall):  # no recall would beat a NaN best
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise CheckpointError(f"{resume}: meta epoch {meta.get('epoch')!r} and best_recall_at_1 "
+                                  f"{meta.get('best_recall_at_1')!r} must be finite numbers") from None
         if start_epoch >= cfg.epochs:
             print(f"nothing left to train: {resume} holds epoch {start_epoch - 1} of {cfg.epochs}")
             return
-        best_recall = float(meta.get("best_recall_at_1", -1.0))
         logged = _logged_epochs(out / "epochs.csv", _header(cfg), start_epoch - 1)
 
     def log(row):
@@ -257,12 +263,16 @@ def _parse_grid(spec: str) -> list[dict[str, float]]:
         name = name.strip()
         if name not in ("lambda_t", "lambda_c", "lambda_s"):
             raise CliError("bad-grid", f"unknown sweep weight {name!r}")
+        if name in (n for n, _ in axes):
+            raise CliError("bad-grid", f"sweep weight {name!r} is named twice")
         try:
             axes.append((name, [float(v) for v in values.split(",")]))
         except ValueError:
             raise CliError("bad-grid", f"cannot parse values for {name!r}") from None
         if not all(0 <= v < math.inf for v in axes[-1][1]):
             raise CliError("bad-grid", f"values for {name!r} must be finite and >= 0")
+        if len(set(axes[-1][1])) < len(axes[-1][1]):
+            raise CliError("bad-grid", f"values for {name!r} repeat a value")
     if not axes:
         raise CliError("bad-grid", "empty lambda grid")
     points = [{}]

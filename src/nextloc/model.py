@@ -232,7 +232,8 @@ def embed_step(store: ParamStore, cfg: ModelConfig, loc, cat, hour, day, user, p
 
 def run_gru(w: GRUWeights, h0: Tensor, x: Tensor, pack: ad.Packing) -> tuple[Tensor, Tensor]:
     """One GRU chain over the packed x (N, in); returns the final hidden
-    state (B, hidden) and every real step's state, packed (N, hidden)."""
+    state (B, hidden), the chain's graph node, and every real step's state,
+    packed (N, hidden), a node over it that only `hlsl` reads."""
     return ad.gru_sequence(x, h0, w, pack)
 
 
@@ -248,9 +249,10 @@ def lsc_forward(
     """Long/short-term capturer: the long GRU runs over the packed
     prior-session records of `long_pack` from h0 (h0 itself where a row has
     none) and its final state seeds the short GRU over the packed current
-    prefix. Returns the short GRU's final state and the packed per-step
-    states of both chains."""
-    if short_pack.steps == 0:
+    prefix, which every row must have. Returns the short GRU's final state
+    and the packed per-step states of both chains; the graph reaches the
+    per-step states only where a caller reads them."""
+    if (short_pack.last < short_pack.batch).any():  # a row without a prefix ends in its h0 row
         raise ValueError("prediction needs a non-empty current-session prefix")
     h_long, long_states = run_gru(long_w, h0, long_x, long_pack)
     h_short, short_states = run_gru(short_w, h_long, short_x, short_pack)

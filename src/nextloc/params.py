@@ -14,8 +14,9 @@ into place, so a failed write leaves any earlier checkpoint untouched.
 Loading reproduces the store bit-exactly. It first checks the sizes the
 header declares against the bytes the file has, then reads each array
 straight into its final buffer. It raises `CheckpointError` for a header
-that is not such JSON, a negative tensor dimension, a tensor the rest of
-the file is too short for, or bytes after the last tensor.
+that is not such JSON, a tensor listed twice, a negative tensor dimension,
+a tensor the rest of the file is too short for, or bytes after the last
+tensor.
 
 A parameter has a gradient buffer only from the first `backward` of a
 training step that reaches it until that step's `adam_step`, which releases
@@ -234,7 +235,11 @@ def load_checkpoint(path, moments: bool = True) -> tuple[ParamStore, dict]:
             raise CheckpointError(f"{path}: unreadable header: {type(e).__name__}: {e}") from None
         if version != 1:
             raise CheckpointError(f"{path}: unsupported version {version}")
+        seen = set()
         for name, shape in specs:
+            if name in seen:
+                raise CheckpointError(f"{path}: tensor {name} is listed twice")
+            seen.add(name)
             if any(d < 0 for d in shape):
                 raise CheckpointError(f"{path}: tensor {name} has negative dimensions {list(shape)}")
         left = size - fh.tell()

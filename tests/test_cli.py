@@ -6,10 +6,10 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from test_autodiff import checkpoint_with_shape
+from test_autodiff import checkpoint_listing_w_twice, checkpoint_with_shape
 
 from nextloc.cli import main
-from nextloc.params import load_checkpoint
+from nextloc.params import load_checkpoint, save_checkpoint
 
 FIXTURE = Path(__file__).parent / "data" / "checkins_foursquare.txt"
 
@@ -410,6 +410,22 @@ def test_non_finite_sweep_grid_rejected(tmp_path, capsys):
     assert single_error_line(capsys.readouterr().err).startswith("nextloc-error: bad-grid:")
 
 
+@pytest.mark.parametrize("grid,why", [
+    ("lambda_s=1,5;lambda_s=2", "named twice"),
+    ("lambda_s=1,1", "repeat a value"),
+], ids=["weight-twice", "value-twice"])
+def test_sweep_grid_naming_a_point_twice_rejected(tmp_path, capsys, grid, why):
+    cfg = write_config(tmp_path)
+    assert main(["prepare", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    rc = main(["sweep", "--config", str(cfg), "--lambda-grid", grid])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert single_error_line(err).startswith("nextloc-error: bad-grid:") and why in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_train_rejects_truncated_processed_file(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["prepare", "--config", str(cfg)]) == 0
@@ -508,6 +524,34 @@ def test_evaluate_rejects_negative_checkpoint_dimensions(trained, capsys, shape)
     assert rc == 1
     line = single_error_line(capsys.readouterr().err)
     assert line.startswith("nextloc-error: pipeline:") and "negative dimensions" in line
+
+
+def test_evaluate_rejects_checkpoint_listing_a_tensor_twice(trained, capsys):
+    tmp_path, cfg = trained
+    bad = tmp_path / "twice.ckpt"
+    bad.write_bytes(checkpoint_listing_w_twice())
+    rc = main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert single_error_line(err).startswith("nextloc-error: pipeline:") and "listed twice" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("epoch", "not-a-number"), ("epoch", math.inf), ("best_recall_at_1", "not-a-number"),
+    ("best_recall_at_1", math.nan),
+])
+def test_resume_from_a_checkpoint_with_non_numeric_meta_fails_in_one_line(trained, capsys, key, value):
+    tmp_path, cfg = trained
+    store, meta = load_checkpoint(tmp_path / "out" / "best.ckpt")
+    bad = tmp_path / "bad-meta.ckpt"
+    save_checkpoint(bad, store, dict(meta, **{key: value}))
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg), "--resume", str(bad)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert single_error_line(err).startswith("nextloc-error: pipeline:") and "must be finite numbers" in err
 
 
 def test_evaluate_rejects_checkpoint_declaring_huge_tensors(trained, capsys):

@@ -4,6 +4,7 @@ import pytest
 from graph_ops import total
 from nextloc import autodiff as ad
 from nextloc.model import (
+    VARIANTS,
     Batch,
     ConfigError,
     ModelConfig,
@@ -13,6 +14,7 @@ from nextloc.model import (
     gru_weights,
     lsc_forward,
 )
+from nextloc.objective import LossWeights, total_loss
 
 DIMS = dict(d_loc=4, d_cat=3, d_hour=2, d_day=2, d_user=2, hidden=5)
 
@@ -431,6 +433,26 @@ def test_forward_rejects_a_history_mask_with_a_hole():
         forward(store, cfg, batch)
 
 
+def two_row_batch(pref_mask):
+    """Two rows with two history steps each and the given (2, T) prefix mask."""
+    pref_mask = np.asarray(pref_mask, dtype=np.float64)
+    hist, pref = np.ones((2, 2), dtype=np.intp), np.ones(pref_mask.shape, dtype=np.intp)
+    return Batch(
+        user=np.arange(2),
+        hist_loc=hist, hist_cat=hist, hist_hour=hist, hist_day=hist, hist_mask=np.ones((2, 2)),
+        pref_loc=pref, pref_cat=pref, pref_hour=pref, pref_day=pref, pref_mask=pref_mask,
+        target_t=np.full(2, 0.5), target_cat=np.ones(2, dtype=np.intp), target_loc=np.ones(2, dtype=np.intp),
+    )
+
+
+@pytest.mark.parametrize("pref_mask", [[[1, 1], [0, 0]], [[0, 0], [0, 0]]], ids=["one-empty-row", "all-zero"])
+def test_forward_rejects_a_row_without_a_prefix(pref_mask):
+    cfg = toy_config()
+    store = build_params(cfg, seed=3)
+    with pytest.raises(ValueError, match="non-empty current-session prefix"):
+        forward(store, cfg, two_row_batch(pref_mask))
+
+
 # ---------------------------------------------------------------------------
 # parameter order and active heads of every variant
 # ---------------------------------------------------------------------------
@@ -490,18 +512,23 @@ def test_parameter_order_and_active_heads(variant, has_categories):
 # tape size
 # ---------------------------------------------------------------------------
 
-def tape_bytes(loss) -> int:
-    """Bytes of the values of every operation node reachable from `loss`."""
-    seen, stack, nbytes = {id(loss)}, [loss], 0
+def operation_nodes(loss) -> list:
+    """Every node with a backward closure reachable from `loss`."""
+    seen, stack, nodes = {id(loss)}, [loss], []
     while stack:
         node = stack.pop()
         if node._backward is not None:
-            nbytes += node.value.nbytes
+            nodes.append(node)
         for p in node.parents:
             if id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    return nbytes
+    return nodes
+
+
+def tape_bytes(loss) -> int:
+    """Bytes of the values of every operation node reachable from `loss`."""
+    return sum(node.value.nbytes for node in operation_nodes(loss))
 
 
 @pytest.mark.parametrize("variant", ["cslsl", "hlsl"])
@@ -527,3 +554,27 @@ def test_tape_grows_with_real_steps_not_padding(variant):
     per_pair = 4 * cfg.dim_record + 6 * cfg.hidden
     per_row = 8 * cfg.hidden + 8 * (cfg.n_locs + cfg.n_cats + 1)
     assert tape_bytes(loss) <= 8 * (real * per_pair + bsz * per_row) < 8 * bsz * th * (2 * cfg.dim_record + 3 * cfg.hidden)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_only_hlsl_graph_reaches_the_per_step_states(variant, monkeypatch):
+    gru_sequence, states = ad.gru_sequence, []
+
+    def recording_gru(*args):
+        final, seq = gru_sequence(*args)
+        states.append(seq)
+        return final, seq
+
+    monkeypatch.setattr(ad, "gru_sequence", recording_gru)
+    cfg = toy_config(variant=variant)
+    batch = two_row_batch([[1, 1], [1, 0]])
+    coords = np.zeros((cfg.n_locs, 2))
+    loss, _ = total_loss(forward(build_params(cfg, seed=0), cfg, batch), batch.target_t, batch.target_cat,
+                         batch.target_loc, LossWeights(), coords)
+    reached = {id(n) for n in operation_nodes(loss)}
+    if variant == "cslsl":
+        # two embeddings, six GRU chains, three heads, two converters and
+        # their concatenations, and the objective
+        assert len(reached) == 16
+    # hlsl's first two branches feed their long and short chains' states to the next branch
+    assert sum(id(s) in reached for s in states) == (4 if variant == "hlsl" else 0)
