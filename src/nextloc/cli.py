@@ -31,6 +31,7 @@ from pathlib import Path
 
 from . import evaluate as ev
 from . import ingest, preprocess
+from .atomic import atomic_write
 from .config import ConfigFileError, RunConfig, config_hash, parse_config
 from .model import ConfigError, ModelConfig, param_shapes
 from .objective import LossWeights
@@ -126,7 +127,8 @@ def cmd_prepare(cfg: RunConfig) -> None:
     preprocess.save_processed(out / "processed.txt", result.vocab, result.users, header_lines=[header])
     preprocess.save_vocab(out / "vocab.txt", result.vocab, header_lines=[header])
     report = f"#{header}\n" + preprocess.stats_report(result, cfg.reference_triple())
-    (out / "stats.txt").write_text(report, encoding="utf-8")
+    with atomic_write(out / "stats.txt") as fh:
+        fh.write(report)
     sys.stdout.write(report)
 
 
@@ -205,13 +207,14 @@ def cmd_evaluate(cfg: RunConfig, checkpoint: str) -> None:
     report = ev.build_report(store, mc, users, instances, vocab=vocab)
     payload = {"config_hash": config_hash(cfg), "seed": cfg.seed, **report.to_json_dict()}
     out = _out(cfg) / "metrics.json"
-    out.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    with atomic_write(out) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     print(json.dumps({k: payload[k] for k in ("recall_loc", "recall_cat")}, sort_keys=True))
     print(f"wrote {out}")
 
 
 def _write_csv(path, header: str, columns: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"#{header}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:

@@ -27,10 +27,16 @@ seed                  1
 output_dir            (no default; artifact directory)
 
 The config hash identifies a run's configuration in artifact headers; it
-covers every key except ``seed`` and ``output_dir``, so reruns with another
-seed still pair with their artifacts, and a run directory moved elsewhere
-keeps its checkpoints. ``dataset_path`` stays in: the hash does not cover the
-data itself.
+covers every key except ``seed``, ``output_dir`` and ``reference_counts``,
+so reruns with another seed still pair with their artifacts, a run
+directory moved elsewhere keeps its checkpoints, and a report-only
+reference triple does not refuse the run's own checkpoint. The hashed keys
+are ``dataset_path``, ``dataset_format``, ``gowalla_tz_offset_minutes``,
+``min_count``, ``min_session_records``, ``min_sessions``, ``train_ratio``,
+``variant``, the five ``d_*`` sizes, ``hidden``, the three ``lambda_*``
+weights, ``learning_rate``, ``batch_size``, ``epochs``, ``patience`` and
+``clip_norm``. ``dataset_path`` stays in: the hash does not cover the data
+itself.
 """
 
 from __future__ import annotations
@@ -166,11 +172,16 @@ def validation_problems(cfg: RunConfig) -> list[str]:
     return problems
 
 
+# keys that change no number a run computes or compares against: the seed
+# is in every header beside the hash, and reference_counts is only reported
+UNHASHED_KEYS = ("seed", "output_dir", "reference_counts")
+
+
 def config_hash(cfg: RunConfig) -> str:
-    """12-hex digest over all keys except seed and output_dir, in sorted key
-    order; neither changes a number the run computes."""
+    """12-hex digest over all keys except `UNHASHED_KEYS`, in sorted key
+    order."""
     text = "\n".join(
         f"{f.name}={getattr(cfg, f.name)}" for f in sorted(fields(RunConfig), key=lambda f: f.name)
-        if f.name not in ("seed", "output_dir")
+        if f.name not in UNHASHED_KEYS
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]

@@ -32,6 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .atomic import atomic_write
+
 _MONTHS = {
     "Jan": 1, "Feb": 2, "Mar": 3, "Apr": 4, "May": 5, "Jun": 6,
     "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
@@ -392,7 +394,7 @@ def write_canonical(rs: RecordSet, path, header_lines=()) -> None:
     for r, text in zip(own.tolist(), middle_text(c.loc[own], c.cat[own], c.lat[own], c.lon[own])):
         middle[r] = text
     user_text = [f"{k}\t" for k in c.user_keys]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for h in header_lines:
             fh.write(f"#{h}\n")
         fh.writelines(

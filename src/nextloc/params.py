@@ -34,10 +34,10 @@ import contextlib
 import json
 import math
 import os
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import Tensor
 
 CHECKPOINT_MAGIC = b"NLCKPT01"
@@ -196,23 +196,16 @@ def save_checkpoint(path, store: ParamStore, meta: dict | None = None) -> None:
         "tensors": [{"name": n, "shape": list(store[n].value.shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            _preallocate(fh, 16 + len(blob) + sum(24 * store[n].value.size for n in names))
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(len(blob).to_bytes(8, "little"))
-            fh.write(blob)
-            for n in names:
-                e = store.entries[n]
-                for arr in (e.tensor.value, e.m, e.v):
-                    fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
-            fh.truncate()  # the file ends where the data does, whatever was preallocated
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as fh:
+        _preallocate(fh, 16 + len(blob) + sum(24 * store[n].value.size for n in names))
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(len(blob).to_bytes(8, "little"))
+        fh.write(blob)
+        for n in names:
+            e = store.entries[n]
+            for arr in (e.tensor.value, e.m, e.v):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
+        fh.truncate()  # the file ends where the data does, whatever was preallocated
 
 
 def load_checkpoint(path, moments: bool = True) -> tuple[ParamStore, dict]:

@@ -8,8 +8,13 @@ normalized time of week) are computed in each record's local time,
 ``utc_seconds + 60 * tz_offset_minutes``.
 
 Every stage runs on the record set's integer codes and numpy columns
-(`ingest.Columns`): a stage picks the rows it keeps, and records become
-`SessRecord`s only in the sessions that survive. The loader likewise reads
+(`ingest.Columns`): a stage picks the rows it keeps. The surviving records
+stay columns too: `build_sessions`, `load_processed` and the synthetic
+corpora put them into one `RecordColumns` (loc, cat, hour, dow, tow, utc,
+tz), where each user's records are one chronological run of rows, and each
+`Session.records` is a `RecordView` of its rows. A view reads like a list
+of `SessRecord`s and builds one only when an item is read, so a record
+costs 36 bytes of columns instead of a 229-byte `SessRecord`. The loader reads
 the processed file's columns first and computes their calendar fields in
 one pass.
 """
@@ -17,11 +22,16 @@ one pass.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
+from .atomic import atomic_write
 from .ingest import RecordSet, check_local_time, dense_category_codes, gc_paused
 
 
@@ -39,10 +49,125 @@ class SessRecord(NamedTuple):
     tz: int             # tz offset minutes (kept so features can be recomputed)
 
 
+class RecordColumns:
+    """Records as numpy columns, one per `SessRecord` field, in row order.
+    The loaders keep all records of a dataset in one of these, each user's
+    as one chronological run of rows; `RecordView`s read them. A column
+    given as an array of its dtype is taken over without a copy, and like
+    every column it becomes read-only."""
+
+    __slots__ = SessRecord._fields
+    # float64 keeps tow bit for bit; int32 holds every location, category,
+    # calendar field and tz offset; utc needs int64
+    DTYPES = (np.int32, np.int32, np.int32, np.int32, np.float64, np.int64, np.int32)
+
+    def __init__(self, loc, cat, hour, dow, tow, utc, tz):
+        for name, dtype, values in zip(self.__slots__, self.DTYPES, (loc, cat, hour, dow, tow, utc, tz)):
+            column = np.asarray(values, dtype=dtype)
+            column.flags.writeable = False  # views share these rows
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, records) -> RecordColumns:
+        """New columns holding `records`, any iterable of `SessRecord`s."""
+        fields = list(zip(*records)) or [()] * len(cls.__slots__)
+        return cls(*fields)
+
+
+class RecordView(Sequence):
+    """The read-only records `columns[start:stop]` as a sequence of
+    `SessRecord`s, without copying them.
+
+    It indexes (negative indexes too), slices, iterates and has a length
+    like a list of the records, and compares equal to such a list and to
+    any view of equal records. Reading an item builds its `SessRecord`;
+    `batchify` reads the column slices instead."""
+
+    __slots__ = ("columns", "start", "stop")
+
+    def __init__(self, columns: RecordColumns, start: int, stop: int):
+        self.columns, self.start, self.stop = columns, start, stop
+
+    @classmethod
+    def of(cls, records: Sequence[SessRecord]) -> RecordView:
+        """`records` itself if it is a view, else a view of new columns
+        holding them."""
+        if isinstance(records, RecordView):
+            return records
+        return cls(RecordColumns.of(records), 0, len(records))
+
+    def column(self, name: str) -> np.ndarray:
+        """The view's rows of one column, as a numpy view."""
+        return getattr(self.columns, name)[self.start:self.stop]
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            span = range(self.start, self.stop)[key]
+            if span.step == 1:
+                return RecordView(self.columns, span.start, max(span.start, span.stop))
+            return [self._record(i) for i in span]
+        i = operator.index(key)
+        n = self.stop - self.start
+        if not -n <= i < n:
+            raise IndexError("record index out of range")
+        return self._record(self.start + i % n)
+
+    def _record(self, row: int) -> SessRecord:
+        return _new_record(tuple(column[row].item() for column in _all_columns(self.columns)))
+
+    def __iter__(self):
+        rows = slice(self.start, self.stop)
+        return map(_new_record, zip(*(column[rows].tolist() for column in _all_columns(self.columns))))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, RecordView)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    __hash__ = None  # equal to a list, which is unhashable
+
+    def __repr__(self) -> str:
+        return f"RecordView({list(self)!r})"
+
+
+_all_columns = operator.attrgetter(*SessRecord._fields)
+_new_record = partial(tuple.__new__, SessRecord)  # SessRecord._make without its Python-level length check
+
+
+def user_rows(sessions: list[Session]) -> tuple[RecordColumns, list[int]]:
+    """The columns that hold the records of `sessions` as one run of rows,
+    and the row where each session starts, plus the run's end. Sessions
+    that are consecutive views of one set of columns, as the loaders build
+    them, give those columns; any others are copied into new ones."""
+    views = [s.records for s in sessions]
+    if views and all(isinstance(v, RecordView) and v.columns is views[0].columns for v in views) and all(
+        a.stop == b.start for a, b in zip(views, views[1:])
+    ):
+        return views[0].columns, [v.start for v in views] + [views[-1].stop]
+    starts = np.cumsum([0] + [len(v) for v in views]).tolist()
+    return RecordColumns.of(chain.from_iterable(views)), starts
+
+
+def share_columns(users: list[SessionizedUser]) -> list[SessionizedUser]:
+    """Copy the records of every session of `users`, in order, into one set
+    of columns, and make each session's records a view of its rows."""
+    columns = RecordColumns.of(r for u in users for s in u.sessions for r in s.records)
+    start = 0
+    for u in users:
+        for s in u.sessions:
+            stop = start + len(s.records)
+            s.records = RecordView(columns, start, stop)
+            start = stop
+    return users
+
+
 @dataclass(slots=True)
 class Session:
     week_id: int        # iso_year * 100 + iso_week of the local timestamp
-    records: list[SessRecord]
+    records: Sequence[SessRecord]  # a `RecordView` from the loaders; any list of records works too
 
 
 @dataclass
@@ -207,19 +332,15 @@ def build_sessions(
 
     loc = np.searchsorted(locs_kept, cols.loc[rows])
     utc, tz = cols.utc[rows], cols.tz[rows]
-    hour, dow, tow = local_fields(utc, tz)
+    records = RecordColumns(loc, loc_cat[loc], *local_fields(utc, tz), utc, tz)
     with gc_paused():
-        records = list(map(
-            SessRecord, loc.tolist(), loc_cat[loc].tolist(), hour.tolist(), dow.tolist(), tow.tolist(),
-            utc.tolist(), tz.tolist(),
-        ))
         out: list[SessionizedUser] = []
         start, last_user = 0, -1
         for u, w, n in zip(session_user[kept].tolist(), week[starts][kept].tolist(), sizes[kept].tolist()):
             if u != last_user:
                 out.append(SessionizedUser(len(out), []))
                 last_user = u
-            out[-1].sessions.append(Session(w, records[start:start + n]))
+            out[-1].sessions.append(Session(w, RecordView(records, start, start + n)))
             start += n
     return vocab, out
 
@@ -327,23 +448,29 @@ def save_processed(path, vocab: Vocab, users: list[SessionizedUser], header_line
     it can differ from the one `canonical.txt` gives the same record."""
     coord_text = [f"{lat!r}\t{lon!r}" for lat, lon in vocab.loc_coord]
     raw_cat = vocab.cat_raw_id + [-1]  # category -1 picks -1
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{PROCESSED_MAGIC}\tusers={vocab.n_users}\tlocs={vocab.n_locs}\tcats={vocab.n_cats}\n")
         for h in header_lines:
             fh.write(f"#{h}\n")
         for u in users:
             key = vocab.user_key[u.user_index]
             fh.write(f"U\t{key}\t{u.split_point}\t{len(u.sessions)}\n")
-            for s in u.sessions:
-                fh.write(f"S\t{s.week_id}\t{len(s.records)}\n")
-                fh.writelines(
-                    f"R\t{key}\t{vocab.loc_key[r.loc]}\t{raw_cat[r.cat]}\t{coord_text[r.loc]}\t{r.utc}\t{r.tz}\n"
-                    for r in s.records
+            records, starts = user_rows(u.sessions)
+            rows = slice(starts[0], starts[-1])
+            lines = [
+                f"R\t{key}\t{vocab.loc_key[loc]}\t{raw_cat[cat]}\t{coord_text[loc]}\t{utc}\t{tz}\n"
+                for loc, cat, utc, tz in zip(
+                    records.loc[rows].tolist(), records.cat[rows].tolist(), records.utc[rows].tolist(),
+                    records.tz[rows].tolist(),
                 )
+            ]
+            for s, start, stop in zip(u.sessions, starts, starts[1:]):
+                fh.write(f"S\t{s.week_id}\t{len(s.records)}\n")
+                fh.writelines(lines[start - starts[0]:stop - starts[0]])
 
 
 def save_vocab(path, vocab: Vocab, header_lines: list[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{VOCAB_MAGIC}\n")
         for h in header_lines:
             fh.write(f"#{h}\n")
@@ -420,7 +547,8 @@ def load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
 
 def _load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
     users: list[SessionizedUser] = []
-    blocks: list[tuple[int, str, int, list]] = []  # (line, what, declared count, items)
+    # (line, what, declared count, the user or session whose `what` they count)
+    blocks: list[tuple[int, str, int, object]] = []
     sessions: list[Session] = []
     starts: list[int] = []  # each session's first row in the columns below
     loc: list[int] = []  # per R line
@@ -467,11 +595,12 @@ def _load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
                 elif tag == "S":
                     if current_user is None:
                         raise PreprocessError(f"{path}:{lineno}: S line before any U line")
-                    current_session = Session(week_id=int(fields[1]), records=[])
+                    # its records become a view of the columns once they are built
+                    current_session = Session(week_id=int(fields[1]), records=())
                     current_user.sessions.append(current_session)
                     sessions.append(current_session)
                     starts.append(len(loc))
-                    blocks.append((lineno, "records", int(fields[2]), current_session.records))
+                    blocks.append((lineno, "records", int(fields[2]), current_session))
                 elif tag == "U":
                     current_key, split_point, n_sessions = fields[1], int(fields[2]), int(fields[3])
                     if not 0 <= split_point <= n_sessions:
@@ -481,19 +610,20 @@ def _load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
                     current_user = SessionizedUser(user_index[current_key], [], split_point)
                     current_session = None
                     users.append(current_user)
-                    blocks.append((lineno, "sessions", n_sessions, current_user.sessions))
+                    blocks.append((lineno, "sessions", n_sessions, current_user))
                 else:
                     raise PreprocessError(f"{path}:{lineno}: unknown tag {tag!r}")
             except KeyError as e:
                 raise PreprocessError(f"{path}:{lineno}: key {e.args[0]!r} not in the vocabulary") from None
             except (IndexError, ValueError) as e:
                 raise PreprocessError(f"{path}:{lineno}: malformed {tag} line: {e}") from None
-    records = _session_records(vocab, loc, utc, tz)
+    records = _record_columns(vocab, loc, utc, tz)
     for session, start, stop in zip(sessions, starts, starts[1:] + [len(loc)]):
-        session.records.extend(records[start:stop])
-    for lineno, what, declared, items in blocks:
-        if len(items) != declared:
-            raise PreprocessError(f"{path}:{lineno}: declares {declared} {what}, found {len(items)}")
+        session.records = RecordView(records, start, stop)
+    for lineno, what, declared, owner in blocks:
+        found = len(getattr(owner, what))
+        if found != declared:
+            raise PreprocessError(f"{path}:{lineno}: declares {declared} {what}, found {found}")
     if not users:
         raise PreprocessError(f"{path}: empty processed dataset")
     if header.get("users") != str(len(users)):
@@ -543,9 +673,9 @@ def _coordinate_problem(name: str, value: float, text: str) -> str | None:
     return None
 
 
-def _session_records(vocab: Vocab, loc: list[int], utc: list[int], tz: list[int]) -> list[SessRecord]:
-    """The `SessRecord`s of the given columns, with the categories of
-    `vocab` and the calendar fields computed in one vectorised pass."""
-    hour, dow, tow = local_fields(np.array(utc, dtype=np.int64), np.array(tz, dtype=np.int64))
-    loc_cat = np.array(vocab.loc_cat, dtype=np.intp)[loc].tolist()
-    return list(map(SessRecord, loc, loc_cat, hour.tolist(), dow.tolist(), tow.tolist(), utc, tz))
+def _record_columns(vocab: Vocab, loc: list[int], utc: list[int], tz: list[int]) -> RecordColumns:
+    """The records of the given columns, with the categories of `vocab` and
+    the calendar fields computed in one vectorised pass."""
+    loc_a, utc_a, tz_a = np.array(loc, dtype=np.intp), np.array(utc, dtype=np.int64), np.array(tz, dtype=np.int64)
+    cat = np.array(vocab.loc_cat, dtype=np.intp)[loc_a]
+    return RecordColumns(loc_a, cat, *local_fields(utc_a, tz_a), utc_a, tz_a)

@@ -9,13 +9,16 @@ predictor should recover almost perfectly.
 `two_cluster_corpus` places locations in two clusters ~20 km apart and gives
 users of the two clusters mirrored schedules, so an undertrained model makes
 cross-cluster mistakes; it exercises the distance-weighted loss.
+
+Both hold their records as the loaders do: one set of record columns, each
+session's records a view of its rows (`preprocess.share_columns`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .preprocess import Session, SessionizedUser, SessRecord, Vocab, split_train_test
+from .preprocess import Session, SessionizedUser, SessRecord, Vocab, share_columns, split_train_test
 
 # Monday 2023-01-02 00:00:00 UTC; every synthetic week starts here + 7d * w
 _WEEK0 = 1672617600
@@ -69,7 +72,7 @@ def weekly_schedule_corpus(
                 rows.append(_record(loc, cat, day, hour, w))
             sessions.append(Session(week_id=202301 + w, records=rows))
         users.append(SessionizedUser(u, sessions))
-    return vocab, split_train_test(users, train_ratio)
+    return vocab, split_train_test(share_columns(users), train_ratio)
 
 
 def two_cluster_corpus(
@@ -111,4 +114,4 @@ def two_cluster_corpus(
                 rows.append(_record(loc, loc_cat[loc], day, hour, w))
             sessions.append(Session(week_id=202301 + w, records=rows))
         users.append(SessionizedUser(u, sessions))
-    return vocab, split_train_test(users)
+    return vocab, split_train_test(share_columns(users))

@@ -3,21 +3,22 @@
 One prediction instance exists for every position >= 2 of every session in
 the chosen split; its inputs are the session prefix before the target plus
 all chronologically earlier sessions (for test sessions that includes the
-train sessions). `make_instances` keeps each user's records once, in one
-chronological list, and an instance's history and prefix are read-only
-views of it: all instances of one session share one history view, so the
-instances cost O(1) memory each, however long the history. Instances are
-padded per batch and masked, so batching never changes per-instance
-semantics. All randomness derives from (seed, epoch), which makes runs
-reproducible and checkpoints resumable.
+train sessions). The loaders keep each user's records once, as one
+chronological run of rows of `preprocess.RecordColumns`, and an instance
+is a small object over them: its user, a `RecordView` of the rows before
+its session (one view, shared by all instances of the session) and its
+target's position in the session. Its prefix and targets are read from the
+columns when asked for, so an instance costs O(1) memory, however long the
+history. `batchify` copies the batch's column slices straight into padded,
+masked arrays, so batching never changes per-instance semantics. All
+randomness derives from (seed, epoch), which makes runs reproducible and
+checkpoints resumable.
 """
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -26,107 +27,79 @@ from .model import Batch, ModelConfig, build_params, forward
 from .objective import LossBreakdown, LossWeights, total_loss
 from .params import ParamStore
 from .ingest import gc_paused
-from .preprocess import SessionizedUser, SessRecord, Vocab
+from .preprocess import RecordView, SessionizedUser, SessRecord, Vocab, user_rows
 
 
 class TrainingDiverged(Exception):
     pass
 
 
-class RecordView(Sequence):
-    """The read-only list `records[start:stop]`, without copying it.
-
-    It indexes (negative indexes too), slices, iterates and has a length
-    like the list, and compares equal to the list and to any view of the
-    same records."""
-
-    __slots__ = ("records", "start", "stop")
-
-    def __init__(self, records: list[SessRecord], start: int, stop: int):
-        self.records, self.start, self.stop = records, start, stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            span = range(self.start, self.stop)[key]
-            if span.step == 1:
-                return RecordView(self.records, span.start, max(span.start, span.stop))
-            return [self.records[i] for i in span]
-        i = operator.index(key)
-        n = self.stop - self.start
-        if not -n <= i < n:
-            raise IndexError("record index out of range")
-        return self.records[self.start + i % n]
-
-    def __iter__(self):
-        return iter(self.records[self.start:self.stop])
-
-    def __eq__(self, other):
-        if isinstance(other, RecordView):
-            other = other.records[other.start:other.stop]
-        elif not isinstance(other, list):
-            return NotImplemented
-        return self.records[self.start:self.stop] == other
-
-    __hash__ = None  # equal to a list, which is unhashable
-
-    def __repr__(self) -> str:
-        return f"RecordView({self.records[self.start:self.stop]!r})"
-
-
-@dataclass(slots=True)
 class TrainingInstance:
-    """One prediction target. `make_instances` gives `history` and `prefix`
-    as `RecordView`s of the user's records, so their lengths cost O(1);
-    plain lists of `SessRecord`s work everywhere too."""
+    """One prediction target: record `step` (counted from 0, so >= 1) of
+    the session that starts where `history` ends. `history` views the
+    records of the user's earlier sessions, and all instances of the
+    session share it; `prefix`, the session's records before the target,
+    and the targets are read from its columns."""
 
-    user_index: int
-    history: Sequence[SessRecord]  # all records of sessions before the current one
-    prefix: Sequence[SessRecord]   # current-session records before the target
-    target_t: float             # normalized time of week of the target record
-    target_cat: int
-    target_loc: int
+    __slots__ = ("user_index", "history", "step")
+
+    def __init__(self, user_index: int, history: RecordView, step: int):
+        self.user_index, self.history, self.step = user_index, history, step
+
+    @property
+    def prefix(self) -> RecordView:
+        h = self.history
+        return RecordView(h.columns, h.stop, h.stop + self.step)
+
+    @property
+    def target_t(self) -> float:
+        """Normalized time of week of the target record."""
+        return self.history.columns.tow[self.history.stop + self.step].item()
+
+    @property
+    def target_cat(self) -> int:
+        return self.history.columns.cat[self.history.stop + self.step].item()
+
+    @property
+    def target_loc(self) -> int:
+        return self.history.columns.loc[self.history.stop + self.step].item()
 
 
 def make_instances(users: list[SessionizedUser], split: str) -> list[TrainingInstance]:
-    """`split` is "train" or "test". Each user's records up to the split's
-    end are copied once into one list; an instance's `history` and `prefix`
-    are `RecordView`s of it, and the instances of one session share one
+    """`split` is "train" or "test". An instance's `history` and `prefix`
+    view the columns that hold its user's records (see
+    `preprocess.user_rows`), and the instances of one session share one
     `history` object."""
     if split not in ("train", "test"):
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     out: list[TrainingInstance] = []
     with gc_paused():
         for u in users:
-            sessions = u.sessions
-            lo, hi = (0, u.split_point) if split == "train" else (u.split_point, len(sessions))
-            records = [r for s in sessions[:hi] for r in s.records]
-            start = sum(len(s.records) for s in sessions[:lo])
-            for s in sessions[lo:hi]:
-                history = RecordView(records, 0, start)
-                session = s.records
-                for i in range(1, len(session)):
-                    tgt = session[i]
-                    out.append(TrainingInstance(
-                        u.user_index, history, RecordView(records, start, start + i), tgt.tow, tgt.cat, tgt.loc
-                    ))
-                start += len(session)
+            lo, hi = (0, u.split_point) if split == "train" else (u.split_point, len(u.sessions))
+            if lo == hi:
+                continue
+            columns, starts = user_rows(u.sessions[:hi])
+            for start, stop in zip(starts[lo:hi], starts[lo + 1:hi + 1]):
+                history = RecordView(columns, starts[0], start)
+                out.extend(TrainingInstance(u.user_index, history, i) for i in range(1, stop - start))
     return out
+
+
+_PADDED_FIELDS = ("loc", "cat", "hour", "dow")
 
 
 def _pad(seqs: Sequence[Sequence[SessRecord]]) -> tuple[np.ndarray, ...]:
     """(loc, cat, hour, day, mask) arrays of shape (len(seqs), longest),
     each sequence left-aligned in its row; padding is 0, and so is a
-    category of -1."""
-    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    category of -1. The values come from the sequences' column slices; a
+    plain list of records is turned into columns first."""
+    views = [RecordView.of(s) for s in seqs]
+    lengths = np.fromiter(map(len, views), dtype=np.intp, count=len(views))
     mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    out = [np.zeros(mask.shape, dtype=np.intp) for _ in range(4)]
-    columns = list(zip(*chain.from_iterable(seqs)))  # SessRecord fields, row-major over the real steps
-    if columns:
-        for a, col in zip(out, columns[:4]):
-            a[mask] = col
+    out = [np.zeros(mask.shape, dtype=np.intp) for _ in _PADDED_FIELDS]
+    if views:
+        for a, name in zip(out, _PADDED_FIELDS):
+            a[mask] = np.concatenate([v.column(name) for v in views])
         np.maximum(out[1], 0, out=out[1])
     return *out, mask.astype(np.float64)
 

@@ -3,6 +3,9 @@
 These are the record-at-a-time parsers, preprocessing stages, writers,
 loader and instance builder that ``nextloc`` ran before its pipeline moved
 to integer codes and numpy columns, unchanged apart from their imports.
+`TrainingInstance` is the instance class of that time, a plain record of
+the instance's lists and targets, kept here since ``nextloc``'s instances
+became views of record columns.
 ``test_prepare_differential.py`` runs both on the same raw files and
 requires identical artifacts, rejects and training instances.
 """
@@ -27,12 +30,21 @@ from nextloc.preprocess import (
     Vocab,
     split_train_test,
 )
-from nextloc.trainer import TrainingInstance
 
 _MONTHS = {
     "Jan": 1, "Feb": 2, "Mar": 3, "Apr": 4, "May": 5, "Jun": 6,
     "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
 }
+
+
+@dataclass(slots=True)
+class TrainingInstance:
+    user_index: int
+    history: list[SessRecord]  # all records of sessions before the current one
+    prefix: list[SessRecord]   # current-session records before the target
+    target_t: float
+    target_cat: int
+    target_loc: int
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,17 @@ def test_evaluate_accepts_other_seed_same_config(trained, capsys):
     assert main(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt), "--set", "seed=99"]) == 0
 
 
+def test_evaluate_accepts_a_report_only_override(trained, capsys):
+    # reference_counts is only reported, so the config hash leaves it out
+    tmp_path, cfg = trained
+    out = tmp_path / "out"
+    ckpt = ["--checkpoint", str(out / "best.ckpt")]
+    assert main(["evaluate", "--config", str(cfg), *ckpt]) == 0
+    plain = (out / "metrics.json").read_bytes()
+    assert main(["evaluate", "--config", str(cfg), *ckpt, "--set", "reference_counts=1,2,3"]) == 0
+    assert (out / "metrics.json").read_bytes() == plain
+
+
 def test_analyze_writes_csvs(trained):
     tmp_path, cfg = trained
     out = tmp_path / "out"

@@ -64,9 +64,21 @@ def prepare(impl, raw: Path, out: Path, fmt="foursquare", tz=0, min_count=10, mi
         got[name] = (out / name).read_bytes()
     vocab = impl.load_vocab(out / "vocab.txt")
     users = impl.load_processed(out / "processed.txt", vocab)
-    got["train"] = impl.make_instances(users, "train")
-    got["test"] = impl.make_instances(users, "test")
+    got["train"] = instance_fields(impl.make_instances(users, "train"))
+    got["test"] = instance_fields(impl.make_instances(users, "test"))
     return got
+
+
+def instance_fields(instances) -> list[tuple]:
+    """Each instance as (user, history, prefix, target time, category,
+    location), its records as lists, so the reference's instances and the
+    column views compare field by field."""
+    histories = {}  # a session's instances share their history
+    return [
+        (i.user_index, histories.setdefault(id(i.history), list(i.history)), list(i.prefix), i.target_t,
+         i.target_cat, i.target_loc)
+        for i in instances
+    ]
 
 
 def assert_same(raw: Path, **kw) -> dict:

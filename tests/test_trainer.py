@@ -8,10 +8,18 @@ from nextloc import trainer
 from nextloc.model import ModelConfig, build_params, forward
 from nextloc.objective import LossWeights
 from nextloc.params import ParamStore, load_checkpoint, save_checkpoint
-from nextloc.preprocess import Session, SessionizedUser, SessRecord
+from nextloc.preprocess import (
+    RecordView,
+    Session,
+    SessionizedUser,
+    SessRecord,
+    load_processed,
+    load_vocab,
+    save_processed,
+    save_vocab,
+)
 from nextloc.synth import weekly_schedule_corpus
 from nextloc.trainer import (
-    RecordView,
     TrainHyper,
     TrainingDiverged,
     batchify,
@@ -90,7 +98,7 @@ def test_targets_are_the_next_record():
 
 def test_record_view_behaves_as_the_list_it_shows():
     records = [rec(loc=i) for i in range(6)]
-    view, want = RecordView(records, 1, 5), records[1:5]
+    view, want = RecordView.of(records)[1:5], records[1:5]
     assert len(view) == 4 and list(view) == want and [r.loc for r in view] == [1, 2, 3, 4]
     assert view[0] == want[0] and view[-1] == want[-1] and view[-4] == want[0]
     for i in (4, -5):
@@ -99,9 +107,9 @@ def test_record_view_behaves_as_the_list_it_shows():
     for key in (slice(1, 3), slice(None, -1), slice(3, 1), slice(None, None, 2), slice(None, None, -1), slice(-9, 9)):
         assert view[key] == want[key] and want[key] == view[key], key
     assert isinstance(view[1:3], RecordView)
-    assert view == want and want == view and view == RecordView(list(records), 1, 5)
+    assert view == want and want == view and view == RecordView.of(list(records))[1:5]
     assert view != records and records != view and view != want[:-1]
-    assert RecordView(records, 2, 2) == [] and [] == RecordView(records, 2, 2)
+    assert RecordView.of(records)[2:2] == [] and [] == RecordView.of(records)[2:2]
     assert view != tuple(want)  # a view equals lists, as a list does
     assert want[2] in view and view.index(want[2]) == 2 and list(reversed(view)) == want[::-1]
     with pytest.raises(TypeError):
@@ -154,6 +162,32 @@ def test_instance_memory_grows_linearly_in_sessions():
     assert large <= 2.1 * small
 
 
+# Bytes per record that `load_processed` plus both splits' `make_instances`
+# held on the corpus below when every record was a `SessRecord` and every
+# instance carried its own prefix view and targets: 186 for the records and
+# 148 for the instances (tracemalloc, CPython 3.11).
+RECORD_OBJECTS_BYTES_PER_RECORD = 334
+
+
+def test_loaded_records_and_instances_take_under_half_the_bytes_of_record_objects(tmp_path):
+    vocab, users = weekly_schedule_corpus(n_users=40, n_weeks=20, slots_per_week=8)
+    save_processed(tmp_path / "processed.txt", vocab, users)
+    save_vocab(tmp_path / "vocab.txt", vocab)
+    vocab = load_vocab(tmp_path / "vocab.txt")
+    make_instances(load_processed(tmp_path / "processed.txt", vocab), "train")  # first-call allocations
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        users = load_processed(tmp_path / "processed.txt", vocab)
+        instances = make_instances(users, "train") + make_instances(users, "test")
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    n_records = sum(len(s.records) for u in users for s in u.sessions)
+    assert (n_records, len(instances)) == (6400, 5600)
+    assert held / n_records <= RECORD_OBJECTS_BYTES_PER_RECORD / 2
+
+
 def reference_pad(seqs):
     """The record-at-a-time padding `trainer._pad` replaced."""
     n = len(seqs)
@@ -202,7 +236,8 @@ def test_pad_matches_the_record_loop(split, categories):
 
 def test_pad_mixes_lists_views_and_empty_sequences():
     records = [rec(loc=i % 5, cat=(i % 4) - 1, hour=i % 24, dow=i % 7) for i in range(12)]
-    seqs = [RecordView(records, 0, 0), records[2:9], RecordView(records, 3, 12), [], records[:1]]
+    view = RecordView.of(records)
+    seqs = [view[0:0], records[2:9], view[3:12], [], records[:1]]
     got = trainer._pad(seqs)
     assert_same_arrays(got, reference_pad(seqs))
     assert got[4].sum(axis=1).tolist() == [0, 7, 9, 0, 1]
@@ -328,8 +363,10 @@ def test_no_test_target_leakage():
     # the instance snapshot must be unaffected
     u = users[inst.user_index]
     s = u.sessions[u.split_point]
-    for i in range(len(inst.prefix), len(s.records)):
-        s.records[i] = rec(loc=(s.records[i].loc + 1) % vocab.n_locs, week=90)
+    records = list(s.records)  # the loaded records are read-only views
+    for i in range(len(inst.prefix), len(records)):
+        records[i] = rec(loc=(records[i].loc + 1) % vocab.n_locs, week=90)
+    s.records = records
     after = forward(store, cfg, batchify([inst])).loc_logits.value
     assert np.array_equal(before, after)
 
