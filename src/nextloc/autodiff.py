@@ -27,7 +27,9 @@ any `.grad` changes. Graphs without one still accumulate on every call.
 Inside a `no_grad()` block no graph is recorded: an operation's output has
 no parents and no backward closure, so inference keeps none of the buffers
 a backward pass would read, and `backward` on such an output raises
-`GradError`.
+`GradError`. There a GRU chain whose per-pair states are not asked for
+holds O((chunk + B) H) floats for B rows at hidden size H, whatever its
+length: one chunk of gates and two blocks of states.
 
 The operations are the few the recurrent predictor needs. A `Packing` lists
 the real (row, step) pairs of a batch of left-aligned sequences step by
@@ -35,9 +37,10 @@ step, each step's rows longest first, and sequences are stored packed over
 it, one (N, dim) row per real pair: padding is never embedded, run or
 stored. `gru_sequence` runs a whole GRU chain over a packed sequence as one
 node, its final states, with the input projection hoisted out of the
-recurrence, gate-major (3, N, H) gate buffers so each step's gate math runs
-on contiguous blocks, each step's previous states a slice of the previous
-step's, and hand-written backpropagation through time over the same blocks.
+recurrence into gate-major gate blocks, one chunk of whole steps at a time,
+so each step's gate math runs on contiguous blocks, each step's previous
+states a slice of the previous step's, and hand-written backpropagation
+through time over the same blocks.
 `concat_embeddings` builds the chains' inputs, one node per sequence, and
 `concat_cols` and `affine` build the heads. The training objective over the
 heads is one node too, `objective.total_loss`.
@@ -54,6 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _grad_enabled = True
+
+GRU_CHUNK_PAIRS = 1024  # real pairs per input-projection chunk of a GRU chain (whole steps; see `_projection_chunks`)
 
 
 @contextmanager
@@ -210,9 +215,12 @@ def concat_embeddings(lookups: list[tuple[Tensor, np.ndarray]]) -> Tensor:
     def bw(g):
         grads = []
         for t, i, lo, hi in zip(tables, idxs, offsets[:-1], offsets[1:]):
-            dt = np.zeros_like(t.value)
-            np.add.at(dt, i, g[..., lo:hi])
-            grads.append(dt)
+            # cell (i, j) of a table is flat bin i * width + j; bincount sums each
+            # bin's entries in index order from 0.0, as np.add.at does, bit for bit
+            width = hi - lo
+            cells = (i.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+            dt = np.bincount(cells, weights=g[..., lo:hi].reshape(-1), minlength=t.value.size)
+            grads.append(dt.reshape(t.value.shape))
         return grads
 
     return Tensor(out, parents=tables, backward=bw)
@@ -245,9 +253,10 @@ class Packing:
     step t's rows are the first rows of step t - 1's, as in PyTorch's
     `pack_padded_sequence` and cuDNN's packed RNNs. Row k of a packed
     (N, ...) array belongs to pair k = (rows[k], cols[k]); step t's pairs
-    are off[t]:off[t+1]. A GRU keeps its states in one (B + N, H) array:
-    h0 in `order`, then the state after each pair; `last[b]` is the row of
-    batch row b's final state, its h0 row when the row is empty.
+    are off[t]:off[t+1], and row b has `lengths[b]` of them. A GRU keeps
+    its states in one (B + N, H) array: h0 in `order`, then the state after
+    each pair; `last[b]` is the row of batch row b's final state, its h0
+    row when the row is empty.
     """
 
     def __init__(self, mask):
@@ -258,6 +267,7 @@ class Packing:
         lengths = np.count_nonzero(m == 1.0, axis=1)
         if not (m == (np.arange(self.steps) < lengths[:, None])).all():
             raise GradError("a sequence mask must be 1s then 0s in every row")
+        self.lengths = lengths
         self.order = np.argsort(-lengths, kind="stable")
         per_step = np.count_nonzero(m, axis=0)
         self.off = np.concatenate(([0], np.cumsum(per_step)))
@@ -276,28 +286,50 @@ class Packing:
         return np.asarray(a)[self.rows, self.cols]
 
 
-def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[Tensor, Tensor]:
+def _projection_chunks(off, steps: int, budget: int) -> list[int]:
+    """Step bounds of consecutive chunks of whole steps, for a chain whose
+    step t holds pairs off[t]:off[t+1]. A chunk ends at the first step
+    boundary at or past `budget` pairs, and a remainder under half the budget
+    joins the previous chunk, so every chunk holds at least half the budget
+    or is the whole sequence."""
+    n_pairs, bounds = off[-1], [0]
+    while n_pairs - off[bounds[-1]] > budget:
+        bounds.append(int(np.searchsorted(off, off[bounds[-1]] + budget)))
+    if len(bounds) > 1 and 2 * (n_pairs - off[bounds[-1]]) < budget:
+        bounds.pop()
+    return bounds + [steps]
+
+
+def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing, *,
+                 states: bool = True) -> tuple[Tensor, Tensor | None]:
     """Run one GRU from h0 (B, H) over x (N, in), the inputs of `pack`'s real
     pairs. Returns the final state of every row (B, H), and the state after
-    every pair, packed (N, H). A row without real pairs ends in its h0 row;
-    with no pairs at all the final states are h0's, and the weights take a
-    zero gradient, so that every weight holds a gradient after a backward,
-    also when a batch has no history.
+    every pair, packed (N, H), or None with `states=False`. A row without
+    real pairs ends in its h0 row; with no pairs at all the final states are
+    h0's, and the weights take a zero gradient, so that every weight holds a
+    gradient after a backward, also when a batch has no history.
 
     Each step computes z = sig(Wz x + Uz h + bz), r = sig(Wr x + Ur h + br),
     n = tanh(Wn x + r * (Un h) + bn) and h' = (1 - z) * n + z * h on the rows
     real at that step; the other rows keep their state, so padding is never
     computed and takes no gradient.
 
-    Layout: the input projection is one product per gate over all pairs,
-    hoisted out of the recurrence into a gate-major (3, N, H) buffer, so a
-    step's z, r and n are contiguous (rows, H) blocks that the gate math
-    updates in place. The states live in one (B + N, H) array, h0 first in
-    `pack.order`; since step t's rows lead step t - 1's, step t reads its
-    previous states as a slice of the previous block, runs its recurrent
+    Layout: the input projection is hoisted out of the recurrence, one
+    product per gate over a chunk of whole steps of about `GRU_CHUNK_PAIRS`
+    pairs, into gate-major (3, pairs, H) blocks, so a step's z, r and n are
+    contiguous (rows, H) blocks that the gate math updates in place. Each
+    step's rows lead the previous step's, so a step reads its previous
+    states as a slice of the previous step's block, runs its recurrent
     product into a preallocated buffer and writes its new states to the
-    next block. With a graph recorded, the forward keeps the gates, the
-    states and `U_n h` of every pair: (5N + B) H floats.
+    next block. With a graph recorded, the chunks fill one (3, N, H) gate
+    array and the states live in one (B + N, H) array, h0 first in
+    `pack.order`: the forward keeps the gates, the states and `U_n h` of
+    every pair, (5N + B) H floats. Under `no_grad` every chunk reuses one
+    gate buffer; with `states=False` the states alternate between two
+    (B, H) blocks, which never overwrite a finished row's final state, since
+    later steps write only longer rows. Such a chain holds
+    O((chunk + B) H) floats besides its input, whatever N. Both modes issue
+    the same products, so they give the same bits.
 
     Backpropagation through time visits the same blocks in reverse and
     writes each step's gate gradients over the buffers that step saved,
@@ -326,45 +358,61 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
                         f"w_x {w.w_x.shape}")
     d_in = x.value.shape[1]
     off, order = pack.off, pack.order
-    # step t's previous states are the first rows of the block at state row `start[t]`: h0's, then each step's
-    start = np.concatenate(([0], bsz + off[:-2]))
     record = _grad_enabled
+    two_blocks = not (record or states)
+    # step t writes its states at state row `write[t]` and reads its previous states at `read[t]`
+    if two_blocks:  # step t writes block (t + 1) % 2, so a row of length L ends in block L % 2
+        write = bsz * ((np.arange(pack.steps) + 1) % 2)
+        last = np.empty(bsz, dtype=np.intp)
+        last[order] = bsz * (pack.lengths[order] % 2) + np.arange(bsz)
+    else:
+        write, last = bsz + off[:-1], pack.last
+    read = np.concatenate(([0], write[:-1]))
+    bounds = _projection_chunks(off, pack.steps, GRU_CHUNK_PAIRS)
     wx = w.w_x.value.reshape(3, hd, d_in)
+    wx_t, bias = wx.transpose(0, 2, 1), w.bias.value.reshape(3, 1, hd)
     wh = w.w_h.value.reshape(3, hd, hd)
     wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))  # U_k.T per gate; contiguous runs the per-step products faster
 
-    # gates[:, k] starts as W x + b of pair k and becomes its (z, r, n)
-    gates = np.matmul(x.value, wx.transpose(0, 2, 1))
-    gates += w.bias.value.reshape(3, 1, hd)
-    hs = np.empty((bsz + n_pairs, hd))
+    # gates[:, k] starts as W x + b of pair k and becomes its (z, r, n); under
+    # no_grad it holds one chunk at a time, so pair k sits at row k - base
+    gate_rows = n_pairs if record else max(off[hi] - off[lo] for lo, hi in zip(bounds[:-1], bounds[1:]))
+    gates = np.empty((3, gate_rows, hd))
+    hs = np.empty((2 * bsz if two_blocks else bsz + n_pairs, hd))
     hs[:bsz] = h0.value[order]
     un_h = np.empty((n_pairs, hd)) if record else None
     uh = np.empty((3, bsz, hd))
     scratch = np.empty((bsz, hd))
-    for t in range(pack.steps):
-        lo, hi = off[t], off[t + 1]
-        if lo == hi:
-            break
-        h, tmp = hs[start[t]: start[t] + hi - lo], scratch[: hi - lo]
-        u = uh[:, : hi - lo]
-        np.matmul(h, wh_t, out=u)
-        zr, z, r, n = gates[:2, lo:hi], gates[0, lo:hi], gates[1, lo:hi], gates[2, lo:hi]
-        zr += u[:2]
-        zr *= 0.5
-        np.tanh(zr, out=zr)
-        zr += 1.0
-        zr *= 0.5  # sig(v) = (1 + tanh(v / 2)) / 2
-        if record:
-            un_h[lo:hi] = u[2]
-        u[2] *= r
-        n += u[2]
-        np.tanh(n, out=n)
-        h_new = hs[bsz + lo: bsz + hi]
-        np.subtract(1.0, z, out=h_new)
-        h_new *= n
-        h_new += np.multiply(z, h, out=tmp)
+    for c_lo, c_hi in zip(bounds[:-1], bounds[1:]):
+        base = 0 if record else off[c_lo]
+        a, b = off[c_lo], off[c_hi]
+        chunk = gates[:, a - base: b - base]
+        np.matmul(x.value[a:b], wx_t, out=chunk)
+        chunk += bias
+        for t in range(c_lo, c_hi):
+            lo, hi = off[t], off[t + 1]
+            if lo == hi:
+                break
+            h, tmp = hs[read[t]: read[t] + hi - lo], scratch[: hi - lo]
+            u = uh[:, : hi - lo]
+            np.matmul(h, wh_t, out=u)
+            g_lo, g_hi = lo - base, hi - base
+            zr, z, r, n = gates[:2, g_lo:g_hi], gates[0, g_lo:g_hi], gates[1, g_lo:g_hi], gates[2, g_lo:g_hi]
+            zr += u[:2]
+            zr *= 0.5
+            np.tanh(zr, out=zr)
+            zr += 1.0
+            zr *= 0.5  # sig(v) = (1 + tanh(v / 2)) / 2
+            if record:
+                un_h[lo:hi] = u[2]
+            u[2] *= r
+            n += u[2]
+            np.tanh(n, out=n)
+            h_new = hs[write[t]: write[t] + hi - lo]
+            np.subtract(1.0, z, out=h_new)
+            h_new *= n
+            h_new += np.multiply(z, h, out=tmp)
 
-    last = pack.last
     states_grad = None  # the gradient the per-pair states received, for the BPTT below
 
     @_single_use
@@ -382,7 +430,7 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
             if lo == hi:
                 continue
             z, r, n, unh = gates[0, lo:hi], gates[1, lo:hi], gates[2, lo:hi], un_h[lo:hi]
-            d_new, h_prev = dh[bsz + lo: bsz + hi], hs[start[t]: start[t] + hi - lo]
+            d_new, h_prev = dh[bsz + lo: bsz + hi], hs[read[t]: read[t] + hi - lo]
             h, s, dn, d_prev = scratch[:, : hi - lo]
             np.multiply(n, n, out=s)
             np.subtract(1.0, s, out=s)
@@ -405,7 +453,7 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
             d_prev += u[0]
             d_prev += u[1]
             d_prev += u[2]
-            dh[start[t]: start[t] + hi - lo] += d_prev
+            dh[read[t]: read[t] + hi - lo] += d_prev
             d_new[...] = h_prev            # this step's state gradient is dead; dW_h reads the previous states
         dgx = (gates[0], gates[1], un_h)   # d(loss)/d(W x) per gate
         dx = dgx[0] @ wx[0]
@@ -422,6 +470,8 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing) -> tuple[T
         )
 
     final = Tensor(hs[last], parents=(x, h0, w.w_x, w.w_h, w.bias), backward=bw_final)
+    if not states:
+        return final, None
 
     def bw_states(g):
         nonlocal states_grad

@@ -41,9 +41,11 @@ def rank_locations(loc_logits: np.ndarray, topn: int) -> np.ndarray:
 
 # Real history-plus-prefix steps per `predict` batch. It keeps the median
 # 256-instance test batch of the NYC-shaped benchmark file (45,424 steps) in
-# one batch, and caps the recurrent state of a batch whatever its users'
-# history lengths: that file's worst 256 consecutive test instances hold
-# 492,772 steps.
+# one batch, and caps a batch's embeddings, padded index arrays and logits
+# whatever its users' history lengths: that file's worst 256 consecutive test
+# instances hold 492,772 steps. The GRU chains add no per-step memory beyond
+# their input: under no_grad each holds one chunk of gates and two blocks of
+# states (only `hlsl`'s upstream chains keep their per-step states).
 EVAL_MAX_STEPS = 50_000
 
 

@@ -230,11 +230,14 @@ def embed_step(store: ParamStore, cfg: ModelConfig, loc, cat, hour, day, user, p
     )
 
 
-def run_gru(w: GRUWeights, h0: Tensor, x: Tensor, pack: ad.Packing) -> tuple[Tensor, Tensor]:
+def run_gru(w: GRUWeights, h0: Tensor, x: Tensor, pack: ad.Packing, *,
+            states: bool = True) -> tuple[Tensor, Tensor | None]:
     """One GRU chain over the packed x (N, in); returns the final hidden
     state (B, hidden), the chain's graph node, and every real step's state,
-    packed (N, hidden), a node over it that only `hlsl` reads."""
-    return ad.gru_sequence(x, h0, w, pack)
+    packed (N, hidden), a node over it that only `hlsl` reads; None with
+    `states=False`, which lets an inference chain keep two (B, hidden) state
+    blocks instead of N state rows."""
+    return ad.gru_sequence(x, h0, w, pack, states=states)
 
 
 def lsc_forward(
@@ -245,17 +248,20 @@ def lsc_forward(
     h0: Tensor,
     long_pack: ad.Packing,
     short_pack: ad.Packing,
-) -> tuple[Tensor, Tensor, Tensor]:
+    *,
+    states: bool = True,
+) -> tuple[Tensor, Tensor | None, Tensor | None]:
     """Long/short-term capturer: the long GRU runs over the packed
     prior-session records of `long_pack` from h0 (h0 itself where a row has
     none) and its final state seeds the short GRU over the packed current
     prefix, which every row must have. Returns the short GRU's final state
-    and the packed per-step states of both chains; the graph reaches the
-    per-step states only where a caller reads them."""
+    and the packed per-step states of both chains, None for both with
+    `states=False`; the graph reaches the per-step states only where a
+    caller reads them."""
     if (short_pack.last < short_pack.batch).any():  # a row without a prefix ends in its h0 row
         raise ValueError("prediction needs a non-empty current-session prefix")
-    h_long, long_states = run_gru(long_w, h0, long_x, long_pack)
-    h_short, short_states = run_gru(short_w, h_long, short_x, short_pack)
+    h_long, long_states = run_gru(long_w, h0, long_x, long_pack, states=states)
+    h_short, short_states = run_gru(short_w, h_long, short_x, short_pack, states=states)
     return h_short, long_states, short_states
 
 
@@ -273,7 +279,8 @@ def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
     hist_in, pref_in = hist, pref
     preds: dict[str, Tensor] = {}
     upstream = None
-    for branch in cfg.branches:
+    for pos, branch in enumerate(cfg.branches):
+        feeds_next = wiring.hierarchical and pos + 1 < len(cfg.branches)  # the next branch reads the states
         h, long_states, short_states = lsc_forward(
             gru_weights(store, f"gru.{branch}.long"),
             gru_weights(store, f"gru.{branch}.short"),
@@ -282,6 +289,7 @@ def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
             h if wiring.chained else zero_h,
             hist_pack,
             pref_pack,
+            states=feeds_next,
         )
         for head in cfg.heads if branch == SHARED else (branch,):
             x = h
@@ -291,7 +299,7 @@ def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
             preds[head] = ad.affine(x, store[f"pred.{head}.w"], store[f"pred.{head}.b"])
             if wiring.chained:
                 upstream = head
-        if wiring.hierarchical:
+        if feeds_next:
             hist_in = ad.concat_cols([hist, long_states])
             pref_in = ad.concat_cols([pref, short_states])
     return BranchState(preds.get("time"), preds.get("cat"), preds["loc"])

@@ -181,3 +181,58 @@ def test_no_grad_gru_keeps_no_graph_and_same_states():
     for out in (last_ng, seq_ng):
         assert out.parents == () and out._backward is None
     assert last_ng.value.base is None  # the final state does not pin the state buffer
+
+
+# lengths 9, 7, 7, 3, 1, 0: steps of 5, 4, 4, 3, 3, 3, 3, 1 and 1 pairs, 27 in all
+CHUNKED = np.arange(9) < np.array([9, 7, 7, 3, 1, 0])[:, None]
+
+
+def test_projection_chunks_are_whole_steps_of_about_the_budget():
+    pack = ad.Packing(CHUNKED)
+    assert pack.off.tolist() == [0, 5, 9, 13, 16, 19, 22, 25, 26, 27]
+    # with 5 pairs a chunk: step 2 (pairs 9-13) straddles pair 10, so its chunk
+    # ends after it, and the 2-pair remainder (steps 7 and 8) joins the last chunk
+    assert ad._projection_chunks(pack.off, pack.steps, 5) == [0, 1, 3, 5, 9]
+    assert ad._projection_chunks(pack.off, pack.steps, 6) == [0, 2, 4, 6, 9]
+    assert ad._projection_chunks(pack.off, pack.steps, 27) == [0, 9]
+    empty = ad.Packing(np.zeros((2, 3)))
+    assert ad._projection_chunks(empty.off, empty.steps, 5) == [0, 3]
+
+
+@pytest.mark.parametrize("states", [True, False])
+def test_no_grad_chain_over_several_chunks_gives_the_recorded_bits(monkeypatch, states):
+    rng = np.random.default_rng(11)
+    w = GRUWeights(*(ad.parameter(rng.normal(size=s)) for s in ((12, 3), (12, 4), (12,))))
+    pack = ad.Packing(CHUNKED)
+    x, h0 = ad.parameter(rng.normal(size=(pack.size, 3))), ad.parameter(rng.normal(size=(6, 4)))
+    one_chunk, one_chunk_seq = ad.gru_sequence(x, h0, w, pack)
+    monkeypatch.setattr(ad, "GRU_CHUNK_PAIRS", 5)
+    last, seq = ad.gru_sequence(x, h0, w, pack)
+    with ad.no_grad():
+        last_ng, seq_ng = ad.gru_sequence(x, h0, w, pack, states=states)
+    assert last_ng.value.tobytes() == last.value.tobytes()
+    if states:
+        assert seq_ng.value.tobytes() == seq.value.tobytes()
+    else:
+        assert seq_ng is None
+    assert last_ng.value.base is None  # the final states own their memory, not a view of a state block
+    assert np.array_equal(last.value[5], h0.value[5])  # the empty row ends in its h0
+    assert_close(last.value, one_chunk.value)
+    assert_close(seq.value, one_chunk_seq.value)
+
+
+def test_recorded_chain_without_states_backpropagates_as_with_them():
+    rng = np.random.default_rng(12)
+    w = GRUWeights(*(ad.parameter(rng.normal(size=s)) for s in ((12, 3), (12, 4), (12,))))
+    pack = ad.Packing(CHUNKED)
+    x, h0 = ad.parameter(rng.normal(size=(pack.size, 3))), ad.parameter(rng.normal(size=(6, 4)))
+    grads = []
+    for states in (True, False):
+        last, seq = ad.gru_sequence(x, h0, w, pack, states=states)
+        assert (seq is None) == (not states) and last.value.base is None
+        backward(total(last))
+        grads.append([t.grad.copy() for t in (x, h0, w.w_x, w.w_h, w.bias)])
+        for t in (x, h0, w.w_x, w.w_h, w.bias):
+            t.grad = None
+    for a, b in zip(*grads):
+        assert a.tobytes() == b.tobytes()

@@ -560,8 +560,8 @@ def test_tape_grows_with_real_steps_not_padding(variant):
 def test_only_hlsl_graph_reaches_the_per_step_states(variant, monkeypatch):
     gru_sequence, states = ad.gru_sequence, []
 
-    def recording_gru(*args):
-        final, seq = gru_sequence(*args)
+    def recording_gru(*args, **kwargs):
+        final, seq = gru_sequence(*args, **kwargs)
         states.append(seq)
         return final, seq
 
@@ -578,3 +578,54 @@ def test_only_hlsl_graph_reaches_the_per_step_states(variant, monkeypatch):
         assert len(reached) == 16
     # hlsl's first two branches feed their long and short chains' states to the next branch
     assert sum(id(s) in reached for s in states) == (4 if variant == "hlsl" else 0)
+
+
+def ragged_batch(hist_lengths, pref_lengths, seed=0):
+    """Random records in left-aligned rows of the given lengths."""
+    rng = np.random.default_rng(seed)
+    bsz = len(hist_lengths)
+
+    def seq(lengths):
+        mask = (np.arange(max(lengths)) < np.asarray(lengths)[:, None]).astype(float)
+        return [rng.integers(0, k, size=mask.shape) for k in (3, 2, 24, 7)] + [mask]
+
+    h, p = seq(hist_lengths), seq(pref_lengths)
+    return Batch(
+        user=rng.integers(0, 2, size=bsz),
+        hist_loc=h[0], hist_cat=h[1], hist_hour=h[2], hist_day=h[3], hist_mask=h[4],
+        pref_loc=p[0], pref_cat=p[1], pref_hour=p[2], pref_day=p[3], pref_mask=p[4],
+        target_t=rng.uniform(size=bsz), target_cat=rng.integers(0, 2, size=bsz), target_loc=rng.integers(0, 3, size=bsz),
+    )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_grad_forward_over_several_chunks_gives_the_recorded_final_states(variant, monkeypatch):
+    # 27 history pairs in chunks of 5 pairs: a step straddles a chunk's
+    # budget and a short remainder joins the last chunk
+    monkeypatch.setattr(ad, "GRU_CHUNK_PAIRS", 5)
+    gru_sequence, chains = ad.gru_sequence, []
+
+    def recording_gru(*args, **kwargs):
+        final, seq = gru_sequence(*args, **kwargs)
+        chains.append((final.value, kwargs["states"], seq))
+        return final, seq
+
+    monkeypatch.setattr(ad, "gru_sequence", recording_gru)
+    cfg = toy_config(variant=variant)
+    store = build_params(cfg, seed=4)
+    batch = ragged_batch([9, 7, 7, 3, 1, 0], [2, 4, 1, 3, 1, 2])
+    recorded = forward(store, cfg, batch)
+    n_chains = len(chains)
+    with ad.no_grad():
+        bare = forward(store, cfg, batch)
+    assert len(chains) == 2 * n_chains == 4 * len(cfg.branches)
+    for (want, want_states, _), (got, states, seq) in zip(chains[:n_chains], chains[n_chains:]):
+        assert got.tobytes() == want.tobytes()
+        assert states == want_states and (seq is None) == (not states)
+    # only hlsl's first two branches hand their per-step states on
+    assert sum(s for _, s, _ in chains[n_chains:]) == (4 if variant == "hlsl" else 0)
+    for name in ("t_hat", "cat_logits", "loc_logits"):
+        a, b = getattr(recorded, name), getattr(bare, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.value.tobytes() == b.value.tobytes(), name
