@@ -291,6 +291,8 @@ def _parse_seeds(spec: str) -> list[int]:
         raise CliError("bad-seeds", f"cannot parse seed list {spec!r}; expected comma-separated integers") from None
     if any(s < 0 for s in seeds):
         raise CliError("bad-seeds", f"seeds must be >= 0, got {spec!r}")
+    if len(set(seeds)) < len(seeds):
+        raise CliError("bad-seeds", f"seed list {spec!r} repeats a seed")
     return seeds
 
 

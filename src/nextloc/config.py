@@ -1,8 +1,8 @@
 """Run configuration: one key=value file drives every command.
 
 File syntax: ``key = value`` per line, ``#`` comments, blank lines ignored.
-Unknown keys are rejected. Command-line ``--set key=value`` flags override
-file values. All keys and defaults:
+Unknown keys, and a key given twice in one file, are rejected. Command-line
+``--set key=value`` flags override file values. All keys and defaults:
 
 dataset_path          (no default; path to the raw check-in file)
 dataset_format        foursquare | gowalla
@@ -109,6 +109,7 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     except OSError as e:
         raise ConfigFileError(f"config: cannot read {path}: {e}") from e
     pairs: list[tuple[str, str]] = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -117,6 +118,9 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
             problems.append(f"line {lineno}: expected key = value")
             continue
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in first_line:
+            problems.append(f"{key}: given twice (lines {first_line[key]} and {lineno})")
+        first_line.setdefault(key, lineno)
         pairs.append((key, raw))
     for key, raw in pairs + sorted((overrides or {}).items()):
         if key not in _FIELDS:

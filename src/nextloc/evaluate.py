@@ -101,7 +101,7 @@ def predict(
         cat_ranked=cat_ranked,
         target_loc=np.array([i.target_loc for i in instances], dtype=np.intp),
         target_cat=np.array([i.target_cat for i in instances], dtype=np.intp),
-        current_loc=np.array([i.prefix[-1].loc for i in instances], dtype=np.intp),
+        current_loc=np.array([i.history.columns.loc[i.history.stop + i.step - 1] for i in instances], dtype=np.intp),
     )
 
 

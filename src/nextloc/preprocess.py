@@ -12,21 +12,20 @@ Every stage runs on the record set's integer codes and numpy columns
 stay columns too: `build_sessions`, `load_processed` and the synthetic
 corpora put them into one `RecordColumns` (loc, cat, hour, dow, tow, utc,
 tz), where each user's records are one chronological run of rows, and each
-`Session.records` is a `RecordView` of its rows. A view reads like a list
-of `SessRecord`s and builds one only when an item is read, so a record
-costs 36 bytes of columns instead of a 229-byte `SessRecord`. The loader reads
-the processed file's columns first and computes their calendar fields in
-one pass.
+`Session.records` is a `RecordView` of its rows: a row range whose
+readers take column slices, so a record costs 36 bytes of columns instead
+of a 229-byte `SessRecord`. Iterating a view builds its `SessRecord`s;
+`share_columns` is the one way from a list of them back to columns, for
+the synthetic corpora and tests. The loader reads the processed file's
+columns first, computes their calendar fields in one pass, and then checks
+the records' chronology.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -67,34 +66,15 @@ class RecordColumns:
             column.flags.writeable = False  # views share these rows
             setattr(self, name, column)
 
-    @classmethod
-    def of(cls, records) -> RecordColumns:
-        """New columns holding `records`, any iterable of `SessRecord`s."""
-        fields = list(zip(*records)) or [()] * len(cls.__slots__)
-        return cls(*fields)
 
-
-class RecordView(Sequence):
-    """The read-only records `columns[start:stop]` as a sequence of
-    `SessRecord`s, without copying them.
-
-    It indexes (negative indexes too), slices, iterates and has a length
-    like a list of the records, and compares equal to such a list and to
-    any view of equal records. Reading an item builds its `SessRecord`;
-    `batchify` reads the column slices instead."""
+class RecordView:
+    """The read-only records `columns[start:stop]`, without copying them:
+    their column slices, their count, and, iterated, a `SessRecord` each."""
 
     __slots__ = ("columns", "start", "stop")
 
     def __init__(self, columns: RecordColumns, start: int, stop: int):
         self.columns, self.start, self.stop = columns, start, stop
-
-    @classmethod
-    def of(cls, records: Sequence[SessRecord]) -> RecordView:
-        """`records` itself if it is a view, else a view of new columns
-        holding them."""
-        if isinstance(records, RecordView):
-            return records
-        return cls(RecordColumns.of(records), 0, len(records))
 
     def column(self, name: str) -> np.ndarray:
         """The view's rows of one column, as a numpy view."""
@@ -103,58 +83,31 @@ class RecordView(Sequence):
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            span = range(self.start, self.stop)[key]
-            if span.step == 1:
-                return RecordView(self.columns, span.start, max(span.start, span.stop))
-            return [self._record(i) for i in span]
-        i = operator.index(key)
-        n = self.stop - self.start
-        if not -n <= i < n:
-            raise IndexError("record index out of range")
-        return self._record(self.start + i % n)
-
-    def _record(self, row: int) -> SessRecord:
-        return _new_record(tuple(column[row].item() for column in _all_columns(self.columns)))
-
     def __iter__(self):
         rows = slice(self.start, self.stop)
-        return map(_new_record, zip(*(column[rows].tolist() for column in _all_columns(self.columns))))
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, RecordView)):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
-
-    __hash__ = None  # equal to a list, which is unhashable
-
-    def __repr__(self) -> str:
-        return f"RecordView({list(self)!r})"
+        return map(_new_record, zip(*(getattr(self.columns, name)[rows].tolist() for name in SessRecord._fields)))
 
 
-_all_columns = operator.attrgetter(*SessRecord._fields)
 _new_record = partial(tuple.__new__, SessRecord)  # SessRecord._make without its Python-level length check
 
 
 def user_rows(sessions: list[Session]) -> tuple[RecordColumns, list[int]]:
-    """The columns that hold the records of `sessions` as one run of rows,
-    and the row where each session starts, plus the run's end. Sessions
-    that are consecutive views of one set of columns, as the loaders build
-    them, give those columns; any others are copied into new ones."""
+    """The columns that hold the records of `sessions`, consecutive views of
+    one set of columns as the loaders and `share_columns` build them, and
+    the row where each session starts, plus the run's end."""
     views = [s.records for s in sessions]
-    if views and all(isinstance(v, RecordView) and v.columns is views[0].columns for v in views) and all(
+    if not (views and all(isinstance(v, RecordView) and v.columns is views[0].columns for v in views) and all(
         a.stop == b.start for a, b in zip(views, views[1:])
-    ):
-        return views[0].columns, [v.start for v in views] + [views[-1].stop]
-    starts = np.cumsum([0] + [len(v) for v in views]).tolist()
-    return RecordColumns.of(chain.from_iterable(views)), starts
+    )):
+        raise ValueError("sessions must be consecutive views of one set of record columns")
+    return views[0].columns, [v.start for v in views] + [views[-1].stop]
 
 
 def share_columns(users: list[SessionizedUser]) -> list[SessionizedUser]:
     """Copy the records of every session of `users`, in order, into one set
     of columns, and make each session's records a view of its rows."""
-    columns = RecordColumns.of(r for u in users for s in u.sessions for r in s.records)
+    records = [r for u in users for s in u.sessions for r in s.records]
+    columns = RecordColumns(*(zip(*records) if records else [()] * len(SessRecord._fields)))
     start = 0
     for u in users:
         for s in u.sessions:
@@ -167,7 +120,7 @@ def share_columns(users: list[SessionizedUser]) -> list[SessionizedUser]:
 @dataclass(slots=True)
 class Session:
     week_id: int        # iso_year * 100 + iso_week of the local timestamp
-    records: Sequence[SessRecord]  # a `RecordView` from the loaders; any list of records works too
+    records: RecordView  # a list of `SessRecord`s only until `share_columns` views it
 
 
 @dataclass
@@ -540,7 +493,8 @@ def load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
     user/session block, that every key is in `vocab`, and that every tz
     offset and local time is in the calendar's range, and that every
     category id, lat and lon is the one its location has in `vocab`. The
-    calendar fields of all records are computed in one pass at the end."""
+    calendar fields of all records are computed in one pass at the end,
+    and then the records' chronology is checked (`_chronology_problem`)."""
     with gc_paused():
         return _load_processed(path, vocab)
 
@@ -628,7 +582,43 @@ def _load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
         raise PreprocessError(f"{path}: empty processed dataset")
     if header.get("users") != str(len(users)):
         raise PreprocessError(f"{path}: header declares users={header.get('users')}, found {len(users)}")
+    problem = _chronology_problem(users, sessions, records)
+    if problem:
+        tag, n, message = problem
+        raise PreprocessError(f"{path}:{_line_number(path, tag, n)}: {message}")
     return users
+
+
+def _chronology_problem(users, sessions, records) -> tuple[str, int, str] | None:
+    """The first of these problems of the loaded sessions and records, as
+    (tag, its index among the lines of that tag, problem), or None: a
+    record whose local ISO week is not its session's week id, a week id
+    that does not exceed its user's previous one, a record earlier than the
+    previous record of its session. Records of different sessions are not
+    compared, since a tz change can put a later utc in an earlier week."""
+    session_week = np.array([s.week_id for s in sessions], dtype=np.int64)
+    session_user = np.repeat(np.arange(len(users)), [len(u.sessions) for u in users])
+    record_session = np.repeat(np.arange(len(sessions)), [len(s.records) for s in sessions])
+    utc, week = records.utc, local_week_id(records.utc, records.tz)
+    bad = np.flatnonzero(week != session_week[record_session])
+    if len(bad):
+        i = bad[0]
+        return "R", i, f"R line local week {week[i]} is not its session's, {session_week[record_session[i]]}"
+    bad = np.flatnonzero((session_week[1:] <= session_week[:-1]) & (session_user[1:] == session_user[:-1])) + 1
+    if len(bad):
+        j = bad[0]
+        return "S", j, f"S line week {session_week[j]} does not follow its user's last, {session_week[j - 1]}"
+    bad = np.flatnonzero((utc[1:] < utc[:-1]) & (record_session[1:] == record_session[:-1])) + 1
+    if len(bad):
+        i = bad[0]
+        return "R", i, f"R line utc {utc[i]} is earlier than the previous record's, {utc[i - 1]}"
+    return None
+
+
+def _line_number(path, tag: str, n: int) -> int:
+    """The number of the `n`th line (from 0) of `path` tagged `tag`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [lineno for lineno, line in enumerate(fh, start=1) if line.startswith(tag + "\t")][n]
 
 
 def _location_fields_text(vocab: Vocab) -> list[str]:

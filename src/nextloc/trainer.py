@@ -9,15 +9,16 @@ is a small object over them: its user, a `RecordView` of the rows before
 its session (one view, shared by all instances of the session) and its
 target's position in the session. Its prefix and targets are read from the
 columns when asked for, so an instance costs O(1) memory, however long the
-history. `batchify` copies the batch's column slices straight into padded,
-masked arrays, so batching never changes per-instance semantics. All
-randomness derives from (seed, epoch), which makes runs reproducible and
-checkpoints resumable.
+history. A user's sessions must be consecutive views of one set of
+columns (`preprocess.user_rows`); sessions built as lists of `SessRecord`s
+go through `preprocess.share_columns` first. `batchify` copies the batch's
+column slices straight into padded, masked arrays, so batching never
+changes per-instance semantics. All randomness derives from (seed, epoch),
+which makes runs reproducible and checkpoints resumable.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ from .model import Batch, ModelConfig, build_params, forward
 from .objective import LossBreakdown, LossWeights, total_loss
 from .params import ParamStore
 from .ingest import gc_paused
-from .preprocess import RecordView, SessionizedUser, SessRecord, Vocab, user_rows
+from .preprocess import RecordView, SessionizedUser, Vocab, user_rows
 
 
 class TrainingDiverged(Exception):
@@ -88,12 +89,10 @@ def make_instances(users: list[SessionizedUser], split: str) -> list[TrainingIns
 _PADDED_FIELDS = ("loc", "cat", "hour", "dow")
 
 
-def _pad(seqs: Sequence[Sequence[SessRecord]]) -> tuple[np.ndarray, ...]:
-    """(loc, cat, hour, day, mask) arrays of shape (len(seqs), longest),
-    each sequence left-aligned in its row; padding is 0, and so is a
-    category of -1. The values come from the sequences' column slices; a
-    plain list of records is turned into columns first."""
-    views = [RecordView.of(s) for s in seqs]
+def _pad(views: list[RecordView]) -> tuple[np.ndarray, ...]:
+    """(loc, cat, hour, day, mask) arrays of shape (len(views), longest),
+    each view's column slices left-aligned in its row; padding is 0, and so
+    is a category of -1."""
     lengths = np.fromiter(map(len, views), dtype=np.intp, count=len(views))
     mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
     out = [np.zeros(mask.shape, dtype=np.intp) for _ in _PADDED_FIELDS]

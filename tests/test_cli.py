@@ -9,6 +9,7 @@ import pytest
 from test_autodiff import checkpoint_listing_w_twice, checkpoint_with_shape
 
 from nextloc.cli import main
+from nextloc.config import parse_config
 from nextloc.params import load_checkpoint, save_checkpoint
 
 FIXTURE = Path(__file__).parent / "data" / "checkins_foursquare.txt"
@@ -178,6 +179,18 @@ def test_unknown_and_invalid_keys_enumerated(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "bogus_key" in err and "epochs" in err and "train_ratio" in err
+
+
+def test_key_given_twice_in_one_file_rejected(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("output_dir = out\nhidden = 600\nepochs = 0\n\nhidden = 8\n")
+    rc = main(["prepare", "--config", str(cfg)])
+    assert rc == 2
+    line = single_error_line(capsys.readouterr().err)
+    assert line.startswith("nextloc-error: config-invalid:")
+    assert "hidden: given twice (lines 2 and 5)" in line and "epochs: must be >= 1" in line
+    cfg.write_text("output_dir = out\nhidden = 600\n")
+    assert parse_config(cfg, {"hidden": "8"}).hidden == 8  # --set still overrides the file
 
 
 @pytest.mark.parametrize("offset", ["1441", "-1441", "9999999999"])
@@ -575,7 +588,7 @@ def test_evaluate_rejects_checkpoint_declaring_huge_tensors(trained, capsys):
     assert line.startswith("nextloc-error: pipeline:") and "truncated tensor w" in line
 
 
-@pytest.mark.parametrize("seeds", ["1,x", "", "1,-1"])
+@pytest.mark.parametrize("seeds", ["1,x", "", "1,-1", "1,1"])
 def test_sweep_rejects_bad_seed_list(tmp_path, capsys, seeds):
     cfg = write_config(tmp_path)
     assert main(["prepare", "--config", str(cfg)]) == 0

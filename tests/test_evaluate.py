@@ -256,6 +256,19 @@ def test_lsl_report_derives_categories_from_locations():
     assert np.array_equal(preds.cat_ranked, want)
 
 
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_predict_trip_origin_is_the_last_prefix_record(split):
+    vocab, users = weekly_schedule_corpus(n_users=4, n_weeks=6, slots_per_week=3)
+    cfg = small_cfg(vocab)
+    instances = make_instances(users, split)
+    preds = predict(build_params(cfg, seed=0), cfg, instances, vocab=vocab)
+    sessions = [s for u in users for s in (u.sessions[:u.split_point] if split == "train"
+                                           else u.sessions[u.split_point:])]
+    want = [list(s.records)[i - 1].loc for s in sessions for i in range(1, len(s.records))]
+    assert preds.current_loc.tolist() == want == [list(i.prefix)[-1].loc for i in instances]
+    assert preds.current_loc.tolist() != preds.target_loc.tolist()
+
+
 def test_sweep_single_point_equals_plain_fit():
     vocab, users = weekly_schedule_corpus(n_users=3, n_weeks=6, slots_per_week=3)
     cfg = small_cfg(vocab)

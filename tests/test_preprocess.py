@@ -1,12 +1,13 @@
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nextloc.ingest import RawRecord, RecordSet
+from nextloc.ingest import RawRecord, RecordSet, parse_foursquare
 from nextloc.preprocess import (
     PreprocessError,
     build_sessions,
@@ -23,6 +24,7 @@ from nextloc.preprocess import (
     split_train_test,
 )
 
+FIXTURE = Path(__file__).parent / "data" / "checkins_foursquare.txt"
 DAY = 86400
 WEEK = 7 * DAY
 # Monday 2023-01-02 00:00:00 UTC
@@ -252,12 +254,17 @@ def saved_dataset(tmp_path):
     return result, tmp_path / "vocab.txt", tmp_path / "proc.txt"
 
 
+def plain_users(users):
+    """Each user's fields, with every session's records as a list."""
+    return [(u.user_index, u.split_point, [(s.week_id, list(s.records)) for s in u.sessions]) for u in users]
+
+
 def test_save_load_round_trip(tmp_path):
     result, vocab_path, proc_path = saved_dataset(tmp_path)
     vocab2 = load_vocab(vocab_path)
     users2 = load_processed(proc_path, vocab2)
     assert vocab2 == result.vocab
-    assert users2 == result.users
+    assert plain_users(users2) == plain_users(result.users)
 
 
 @pytest.mark.parametrize("cut,why", [
@@ -381,6 +388,68 @@ def test_load_rejects_r_line_with_an_extra_field(tmp_path):
 def test_load_accepts_location_fields_written_otherwise(tmp_path, column, text):
     _, load = load_with_first_r_field(tmp_path, column, text)
     assert len(load()) == 3
+
+
+def fixture_lines(tmp_path):
+    """The fixture file prepared with min_count 2 and min_sessions 2 and
+    saved: its vocabulary, processed-file path and lines. Lines 3 and 8
+    (counted from 1) start its first user's first two sessions, of four
+    records each."""
+    result = run_pipeline(parse_foursquare(FIXTURE), min_count=2, min_sessions=2)
+    path = tmp_path / "processed.txt"
+    save_processed(path, result.vocab, result.users)
+    lines = path.read_text().splitlines(keepends=True)
+    assert (lines[2], lines[7]) == ("S\t201214\t4\n", "S\t201215\t4\n")
+    assert len(load_processed(path, result.vocab)) == 6
+    return result.vocab, path, lines
+
+
+def with_field(line: str, column: int, text: str) -> str:
+    fields = line.rstrip("\n").split("\t")
+    fields[column] = text
+    return "\t".join(fields) + "\n"
+
+
+def assert_refused(vocab, path, lines, why):
+    path.write_text("".join(lines))
+    with pytest.raises(PreprocessError, match=why):
+        load_processed(path, vocab)
+
+
+def test_load_rejects_records_swapped_within_a_session(tmp_path):
+    vocab, path, lines = fixture_lines(tmp_path)
+    lines[3], lines[4] = lines[4], lines[3]
+    assert_refused(vocab, path, lines, ":5: R line utc 1333359798 is earlier than the previous record's, 1333364188")
+
+
+def test_load_rejects_a_record_moved_30_days(tmp_path):
+    vocab, path, lines = fixture_lines(tmp_path)
+    lines[8] = with_field(lines[8], 6, str(int(lines[8].split("\t")[6]) + 30 * DAY))
+    assert_refused(vocab, path, lines, ":9: R line local week 201219 is not its session's, 201215")
+
+
+def test_load_rejects_a_record_at_utc_3(tmp_path):
+    vocab, path, lines = fixture_lines(tmp_path)
+    lines[8] = with_field(lines[8], 6, "3")
+    assert_refused(vocab, path, lines, ":9: R line local week 197001 is not its session's, 201215")
+
+
+def test_load_rejects_a_session_week_id_of_999999(tmp_path):
+    vocab, path, lines = fixture_lines(tmp_path)
+    lines[7] = with_field(lines[7], 1, "999999")
+    assert_refused(vocab, path, lines, ":9: R line local week 201215 is not its session's, 999999")
+
+
+def test_load_rejects_a_negated_session_week_id(tmp_path):
+    vocab, path, lines = fixture_lines(tmp_path)
+    lines[7] = with_field(lines[7], 1, "-201215")
+    assert_refused(vocab, path, lines, ":9: R line local week 201215 is not its session's, -201215")
+
+
+def test_load_rejects_sessions_out_of_week_order(tmp_path):
+    vocab, path, lines = fixture_lines(tmp_path)
+    lines[2:12] = lines[7:12] + lines[2:7]
+    assert_refused(vocab, path, lines, ":8: S line week 201214 does not follow its user's last, 201215")
 
 
 @pytest.mark.parametrize("tag", ["USER", "LOC", "CAT"])

@@ -17,6 +17,7 @@ from nextloc.preprocess import (
     load_vocab,
     save_processed,
     save_vocab,
+    share_columns,
 )
 from nextloc.synth import weekly_schedule_corpus
 from nextloc.trainer import (
@@ -41,7 +42,12 @@ def user_with_session_lengths(lengths, split_point=None):
     ]
     u = SessionizedUser(0, sessions)
     u.split_point = len(sessions) if split_point is None else split_point
-    return u
+    return share_columns([u])[0]
+
+
+def columns_of(records):
+    """New record columns holding `records`, in order."""
+    return share_columns([SessionizedUser(0, [Session(202301, records)])])[0].sessions[0].records.columns
 
 
 def small_config(vocab, variant="cslsl", hidden=8):
@@ -64,7 +70,7 @@ def test_instance_count_for_session_lengths():
 def test_first_session_instances_have_empty_history():
     u = user_with_session_lengths([3, 2])
     instances = make_instances([u], "train")
-    assert instances[0].history == [] and instances[1].history == []
+    assert list(instances[0].history) == [] and list(instances[1].history) == []
     assert len(instances[2].history) == 3  # second session sees the whole first
 
 
@@ -92,39 +98,32 @@ def test_targets_are_the_next_record():
     u = user_with_session_lengths([3])
     inst = make_instances([u], "train")[0]
     assert len(inst.prefix) == 1
-    assert inst.target_loc == u.sessions[0].records[1].loc
-    assert inst.target_t == u.sessions[0].records[1].tow
+    target = list(u.sessions[0].records)[1]
+    assert inst.target_loc == target.loc
+    assert inst.target_t == target.tow
 
 
 def test_record_view_behaves_as_the_list_it_shows():
     records = [rec(loc=i) for i in range(6)]
-    view, want = RecordView.of(records)[1:5], records[1:5]
+    columns = columns_of(records)
+    view, want = RecordView(columns, 1, 5), records[1:5]
     assert len(view) == 4 and list(view) == want and [r.loc for r in view] == [1, 2, 3, 4]
-    assert view[0] == want[0] and view[-1] == want[-1] and view[-4] == want[0]
-    for i in (4, -5):
-        with pytest.raises(IndexError):
-            view[i]
-    for key in (slice(1, 3), slice(None, -1), slice(3, 1), slice(None, None, 2), slice(None, None, -1), slice(-9, 9)):
-        assert view[key] == want[key] and want[key] == view[key], key
-    assert isinstance(view[1:3], RecordView)
-    assert view == want and want == view and view == RecordView.of(list(records))[1:5]
-    assert view != records and records != view and view != want[:-1]
-    assert RecordView.of(records)[2:2] == [] and [] == RecordView.of(records)[2:2]
-    assert view != tuple(want)  # a view equals lists, as a list does
-    assert want[2] in view and view.index(want[2]) == 2 and list(reversed(view)) == want[::-1]
-    with pytest.raises(TypeError):
-        hash(view)
+    assert view.column("loc").tolist() == [1, 2, 3, 4]
+    assert list(RecordView(columns, 2, 2)) == []
+    assert want[2] in view
+    with pytest.raises(TypeError):  # a view is a row range, read by column
+        view[0]
 
 
 def test_instances_are_views_of_the_users_records():
     u = user_with_session_lengths([3, 2, 4], split_point=1)
     train, test = make_instances([u], "train"), make_instances([u], "test")
-    assert train[0].history == [] and [] == train[0].history
+    assert list(train[0].history) == []
     records = [r for s in u.sessions for r in s.records]
     for inst, (start, i) in zip(train + test, [(0, 1), (0, 2), (3, 1), (5, 1), (5, 2), (5, 3)]):
         assert isinstance(inst.history, RecordView) and isinstance(inst.prefix, RecordView)
-        assert inst.history == records[:start] and records[:start] == inst.history
-        assert inst.prefix == records[start:start + i] and inst.prefix[-1] == records[start + i - 1]
+        assert list(inst.history) == records[:start]
+        assert list(inst.prefix) == records[start:start + i]
 
 
 def test_instances_of_one_session_share_one_history_object():
@@ -221,12 +220,13 @@ def test_pad_matches_the_record_loop(split, categories):
         for u in users:
             for s in u.sessions:
                 s.records = [r._replace(cat=-1) for r in s.records]
+        share_columns(users)
     instances = make_instances(users, split)
     rng = np.random.default_rng(3)
     for seqs in (
         [i.history for i in instances],
         [i.prefix for i in instances],
-        [list(i.history) for i in rng.permutation(np.array(instances, dtype=object))[:7]],
+        [i.history for i in rng.permutation(np.array(instances, dtype=object))[:7]],
         [instances[0].history],
         [instances[-1].prefix],
         [],
@@ -234,14 +234,15 @@ def test_pad_matches_the_record_loop(split, categories):
         assert_same_arrays(trainer._pad(seqs), reference_pad(seqs))
 
 
-def test_pad_mixes_lists_views_and_empty_sequences():
+def test_pad_mixes_views_of_any_rows_and_empty_views():
     records = [rec(loc=i % 5, cat=(i % 4) - 1, hour=i % 24, dow=i % 7) for i in range(12)]
-    view = RecordView.of(records)
-    seqs = [view[0:0], records[2:9], view[3:12], [], records[:1]]
+    columns = columns_of(records)
+    seqs = [RecordView(columns, a, b) for a, b in ((0, 0), (2, 9), (3, 12), (7, 7), (0, 1))]
     got = trainer._pad(seqs)
     assert_same_arrays(got, reference_pad(seqs))
     assert got[4].sum(axis=1).tolist() == [0, 7, 9, 0, 1]
-    assert_same_arrays(trainer._pad([[], []]), reference_pad([[], []]))
+    empty = [RecordView(columns, 0, 0), RecordView(columns, 5, 5)]
+    assert_same_arrays(trainer._pad(empty), reference_pad([[], []]))
 
 
 # ---------------------------------------------------------------------------
