@@ -12,7 +12,8 @@ Subcommands (all driven by one config file; see config.py for the schema):
   distance_hist.csv, displacement.csv, attractiveness.csv
 * ``sweep --config F --lambda-grid SPEC [--seeds LIST]``  writes sweep.csv
 
-``--set key=value`` (repeatable) overrides config file values. Every artifact
+``--set key=value`` (repeatable, once per key; ``--seed`` counts as ``seed``)
+overrides config file values. Every artifact
 carries a ``config_hash=... seed=...`` header; evaluate, analyze and
 ``train --resume`` refuse checkpoints whose hash does not match the active
 config or whose tensor names and shapes do not fit the prepared data. Grid
@@ -342,12 +343,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        overrides = {}
+        overrides = []  # in flag order: parse_config refuses a key given twice
         for item in args.set:
             key, _, value = item.partition("=")
-            overrides[key.strip()] = value.strip()
+            overrides.append((key.strip(), value.strip()))
         if getattr(args, "seed", None) is not None:
-            overrides["seed"] = str(args.seed)
+            overrides.append(("seed", str(args.seed)))
         cfg = parse_config(args.config, overrides)
         if args.command == "prepare":
             cmd_prepare(cfg)

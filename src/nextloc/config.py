@@ -2,7 +2,9 @@
 
 File syntax: ``key = value`` per line, ``#`` comments, blank lines ignored.
 Unknown keys, and a key given twice in one file, are rejected. Command-line
-``--set key=value`` flags override file values. All keys and defaults:
+``--set key=value`` flags override file values; a key given twice among the
+flags is rejected too (``train --seed N`` counts as ``--set seed=N``). All
+keys and defaults:
 
 dataset_path          (no default; path to the raw check-in file)
 dataset_format        foursquare | gowalla
@@ -101,7 +103,10 @@ def _coerce(key: str, raw: str):
     return raw
 
 
-def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
+def parse_config(path, overrides: dict[str, str] | list[tuple[str, str]] | None = None) -> RunConfig:
+    """The run configuration of the file at `path`, with `overrides`, the
+    command line's (key, value) pairs, over its values. Every problem found
+    is raised at once, one per line of a `ConfigFileError`."""
     problems: list[str] = []
     values: dict[str, object] = {}
     try:
@@ -122,7 +127,11 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
             problems.append(f"{key}: given twice (lines {first_line[key]} and {lineno})")
         first_line.setdefault(key, lineno)
         pairs.append((key, raw))
-    for key, raw in pairs + sorted((overrides or {}).items()):
+    flags = list(overrides.items()) if isinstance(overrides, dict) else list(overrides or ())
+    flag_keys = [key for key, _ in flags]
+    problems += [f"{key}: given twice on the command line"
+                 for key in sorted(set(flag_keys)) if flag_keys.count(key) > 1]
+    for key, raw in pairs + sorted(dict(flags).items()):
         if key not in _FIELDS:
             problems.append(f"{key}: unknown key")
             continue

@@ -116,6 +116,18 @@ class ModelConfig:
             return self.branches
         return CHAIN if self.has_categories else ("time", "loc")
 
+    @property
+    def history_branches(self) -> tuple[str, ...]:
+        """The branches whose long GRU starts from zeros and reads only the
+        record embedding, so that its final state depends on the history
+        alone: every branch of `lsl`, `sblsl` and `slsl`, and the first
+        branch of a chained variant. `hlsl`'s downstream long GRUs read the
+        first branch's per-step states, so `hlsl` lists none."""
+        w = self.wiring
+        if w.hierarchical:
+            return ()
+        return self.branches[:1] if w.chained else self.branches
+
 
 @dataclass
 class BranchState:
@@ -213,21 +225,30 @@ def gru_weights(store: ParamStore, prefix: str) -> GRUWeights:
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def embed_step(store: ParamStore, cfg: ModelConfig, loc, cat, hour, day, user, pack: ad.Packing) -> Tensor:
-    """Embeddings of the real records of (B, T) index arrays, e_loc + e_cat +
-    e_hour + e_day + e_user concatenated in that order, packed in `pack`'s
-    order: one (N, dim_record) graph node. `user` (B,) gives each row's user."""
-    loc = pack.gather(loc)
-    cat_idx = pack.gather(cat) if cfg.has_categories else np.zeros(loc.shape, dtype=np.intp)
+def embed_records(store: ParamStore, cfg: ModelConfig, loc, cat, hour, day, user) -> Tensor:
+    """Embeddings of records given by equal-shaped index arrays, e_loc +
+    e_cat + e_hour + e_day + e_user concatenated in that order: one graph
+    node of shape loc.shape + (dim_record,). On data without categories
+    every record reads the shared category row."""
+    loc = np.asarray(loc)
+    cat_idx = cat if cfg.has_categories else np.zeros(loc.shape, dtype=np.intp)
     return ad.concat_embeddings(
         [
             (store["emb.loc"], loc),
             (store["emb.cat"], cat_idx),
-            (store["emb.hour"], pack.gather(hour)),
-            (store["emb.day"], pack.gather(day)),
-            (store["emb.user"], np.asarray(user)[pack.rows]),
+            (store["emb.hour"], hour),
+            (store["emb.day"], day),
+            (store["emb.user"], user),
         ]
     )
+
+
+def embed_step(store: ParamStore, cfg: ModelConfig, loc, cat, hour, day, user, pack: ad.Packing) -> Tensor:
+    """Embeddings of the real records of (B, T) index arrays, packed in
+    `pack`'s order: one (N, dim_record) graph node (see `embed_records`).
+    `user` (B,) gives each row's user."""
+    return embed_records(store, cfg, pack.gather(loc), pack.gather(cat), pack.gather(hour), pack.gather(day),
+                         np.asarray(user)[pack.rows])
 
 
 def run_gru(w: GRUWeights, h0: Tensor, x: Tensor, pack: ad.Packing, *,
@@ -250,6 +271,7 @@ def lsc_forward(
     short_pack: ad.Packing,
     *,
     states: bool = True,
+    h_long: Tensor | None = None,
 ) -> tuple[Tensor, Tensor | None, Tensor | None]:
     """Long/short-term capturer: the long GRU runs over the packed
     prior-session records of `long_pack` from h0 (h0 itself where a row has
@@ -257,22 +279,40 @@ def lsc_forward(
     prefix, which every row must have. Returns the short GRU's final state
     and the packed per-step states of both chains, None for both with
     `states=False`; the graph reaches the per-step states only where a
-    caller reads them."""
+    caller reads them. Given `h_long`, the long GRU's final states computed
+    elsewhere, the long chain does not run: `long_x`, `h0` and `long_pack`
+    are not read, and the long per-step states are None."""
     if (short_pack.last < short_pack.batch).any():  # a row without a prefix ends in its h0 row
         raise ValueError("prediction needs a non-empty current-session prefix")
-    h_long, long_states = run_gru(long_w, h0, long_x, long_pack, states=states)
+    long_states = None
+    if h_long is None:
+        h_long, long_states = run_gru(long_w, h0, long_x, long_pack, states=states)
     h_short, short_states = run_gru(short_w, h_long, short_x, short_pack, states=states)
     return h_short, long_states, short_states
 
 
-def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
+def forward(store: ParamStore, cfg: ModelConfig, batch: Batch, *,
+            history_states: dict[str, np.ndarray] | None = None) -> BranchState:
     """Run the configured variant on a padded batch: each branch's LSC over
     the batch's real steps, then the heads it feeds, connected as the
-    variant's `Wiring` says."""
+    variant's `Wiring` says.
+
+    `history_states` maps some of `cfg.history_branches` to their long
+    GRU's final state per row, (B, hidden), computed elsewhere from the
+    rows' histories (see `evaluate.history_states`). Those branches skip
+    their long chains, and when no branch is left to read the batch's
+    histories, their embedding and packing are skipped too."""
     wiring = cfg.wiring
-    hist_pack, pref_pack = ad.Packing(batch.hist_mask), ad.Packing(batch.pref_mask)
-    hist = embed_step(store, cfg, batch.hist_loc, batch.hist_cat, batch.hist_hour, batch.hist_day, batch.user,
-                      hist_pack)
+    given = history_states or {}
+    if not set(given) <= set(cfg.history_branches):
+        raise ValueError(f"history states given for {sorted(given)}, but {cfg.variant} can take them only for "
+                         f"{list(cfg.history_branches)}")
+    pref_pack = ad.Packing(batch.pref_mask)
+    hist = hist_pack = None
+    if any(b not in given for b in cfg.branches):
+        hist_pack = ad.Packing(batch.hist_mask)
+        hist = embed_step(store, cfg, batch.hist_loc, batch.hist_cat, batch.hist_hour, batch.hist_day, batch.user,
+                          hist_pack)
     pref = embed_step(store, cfg, batch.pref_loc, batch.pref_cat, batch.pref_hour, batch.pref_day, batch.user,
                       pref_pack)
     h = zero_h = ad.constant(np.zeros((batch.size, cfg.hidden)))
@@ -290,6 +330,7 @@ def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
             hist_pack,
             pref_pack,
             states=feeds_next,
+            h_long=ad.constant(given[branch]) if branch in given else None,
         )
         for head in cfg.heads if branch == SHARED else (branch,):
             x = h

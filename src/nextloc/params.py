@@ -24,8 +24,9 @@ it once the update is written; between steps, and in a built, loaded or
 cloned store, every `.grad` is None. `grad_norm`, `clip_global_norm` and
 `adam_step` read None as a zero gradient. Inference needs only the values,
 so `load_checkpoint(path, moments=False)`, which `evaluate` and `analyze`
-use, reads the values and seeks past `m` and `v`; such a store refuses
-`adam_step` and `save_checkpoint`.
+use, reads the values and seeks past `m` and `v`, and refuses a tensor
+with a non-finite value; such a store refuses `adam_step` and
+`save_checkpoint`.
 """
 
 from __future__ import annotations
@@ -210,7 +211,9 @@ def save_checkpoint(path, store: ParamStore, meta: dict | None = None) -> None:
 
 def load_checkpoint(path, moments: bool = True) -> tuple[ParamStore, dict]:
     """The store and meta of a checkpoint; with `moments=False` the store
-    holds the values only, for inference."""
+    holds the values only, for inference, and a tensor with a non-finite
+    value is refused. A full load leaves that to the first training step,
+    which stops on a non-finite loss."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != CHECKPOINT_MAGIC:
@@ -251,6 +254,8 @@ def load_checkpoint(path, moments: bool = True) -> tuple[ParamStore, dict]:
                 if fh.readinto(arr) != arr.nbytes:
                     raise CheckpointError(f"{path}: truncated tensor {name}")
             if not moments:
+                if not np.isfinite(arrays[0]).all():
+                    raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
                 fh.seek(2 * arrays[0].nbytes, os.SEEK_CUR)
                 arrays += [None, None]
             store.adopt(name, *arrays)

@@ -513,6 +513,7 @@ def _load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
     current_user: SessionizedUser | None = None
     current_key: str | None = None
     current_session: Session | None = None
+    user_line: dict[str, int] = {}  # each user key's U line
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if not first.startswith(PROCESSED_MAGIC):
@@ -557,6 +558,10 @@ def _load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
                     blocks.append((lineno, "records", int(fields[2]), current_session))
                 elif tag == "U":
                     current_key, split_point, n_sessions = fields[1], int(fields[2]), int(fields[3])
+                    if user_line.setdefault(current_key, lineno) != lineno:
+                        raise PreprocessError(
+                            f"{path}:{lineno}: U line repeats user {current_key!r} of line {user_line[current_key]}"
+                        )
                     if not 0 <= split_point <= n_sessions:
                         raise PreprocessError(
                             f"{path}:{lineno}: split point {split_point} outside [0, {n_sessions}] sessions"

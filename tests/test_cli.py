@@ -193,6 +193,24 @@ def test_key_given_twice_in_one_file_rejected(tmp_path, capsys):
     assert parse_config(cfg, {"hidden": "8"}).hidden == 8  # --set still overrides the file
 
 
+def test_a_key_given_twice_among_the_flags_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    rc = main(["prepare", "--config", str(cfg), "--set", "epochs=0", "--set", "hidden=0", "--set", "epochs=1"])
+    assert rc == 2
+    line = single_error_line(capsys.readouterr().err)
+    assert line.startswith("nextloc-error: config-invalid:")
+    assert "epochs: given twice on the command line" in line and "hidden: must be >= 1" in line
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_flag_and_set_seed_are_one_key(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    rc = main(["train", "--config", str(cfg), "--seed", "3", "--set", "seed=4"])
+    assert rc == 2
+    line = single_error_line(capsys.readouterr().err)
+    assert line.startswith("nextloc-error: config-invalid:") and "seed: given twice on the command line" in line
+
+
 @pytest.mark.parametrize("offset", ["1441", "-1441", "9999999999"])
 def test_gowalla_tz_offset_out_of_range_rejected(tmp_path, capsys, offset):
     cfg = write_config(tmp_path)
@@ -576,6 +594,23 @@ def test_resume_from_a_checkpoint_with_non_numeric_meta_fails_in_one_line(traine
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert single_error_line(err).startswith("nextloc-error: pipeline:") and "must be finite numbers" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "analyze"])
+def test_inference_refuses_a_checkpoint_with_a_nan_value(trained, capsys, command):
+    tmp_path, cfg = trained
+    store, meta = load_checkpoint(tmp_path / "out" / "best.ckpt")
+    store["pred.loc.b"].value[:] = math.nan
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(bad, store, meta)
+    metrics = tmp_path / "out" / "metrics.json"
+    before = metrics.read_bytes() if metrics.exists() else None
+    capsys.readouterr()
+    rc = main([command, "--config", str(cfg), "--checkpoint", str(bad)])
+    assert rc == 1
+    line = single_error_line(capsys.readouterr().err)
+    assert line.startswith("nextloc-error: pipeline:") and "tensor pred.loc.b holds non-finite values" in line
+    assert (metrics.read_bytes() if metrics.exists() else None) == before
 
 
 def test_evaluate_rejects_checkpoint_declaring_huge_tensors(trained, capsys):

@@ -94,6 +94,35 @@ def test_recall_matches_brute_force_oracle(seed):
         assert ue == pytest.approx(brute_force_recall(users, ranked, targets, n), abs=1e-12)
 
 
+def per_user_loop_recall(user_ids, ranked, targets, n):
+    """`recall_at_n` as it was written first, one mask per user: the
+    reference the vectorised version must equal, types and key order
+    included."""
+    user_ids = np.asarray(user_ids)
+    hits = (np.asarray(ranked)[:, :n] == np.asarray(targets)[:, None]).any(axis=1)
+    per_user = {}
+    for u in np.unique(user_ids):
+        sel = user_ids == u
+        per_user[int(u)] = float(hits[sel].sum() / sel.sum())
+    user_equal = sum(per_user.values()) / len(per_user) if per_user else 0.0
+    record_equal = float(hits.sum() / len(hits)) if len(hits) else 0.0
+    return user_equal, per_user, record_equal
+
+
+def test_recall_equals_the_per_user_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        m, k = int(rng.integers(0, 60)), int(rng.integers(1, 8))
+        users = rng.integers(0, int(rng.integers(1, 20)), m) * 3 + 1  # sparse, unsorted ids
+        ranked, targets = rng.integers(0, 10, (m, k)), rng.integers(0, 10, m)
+        for n in (1, 3, 10):
+            got, want = recall_at_n(users, ranked, targets, n), per_user_loop_recall(users, ranked, targets, n)
+            assert got == want
+            assert list(got[1]) == list(want[1])
+            assert [type(v) for v in (got[0], got[2], *got[1], *got[1].values())] == \
+                [type(v) for v in (want[0], want[2], *want[1], *want[1].values())]
+
+
 @settings(max_examples=50)
 @given(st.integers(0, 10_000))
 def test_recall_monotone_and_full_rank_is_one(seed):
@@ -312,8 +341,8 @@ def test_predict_without_graph_matches_recorded_forward(monkeypatch, variant):
             assert b.parents == () and b._backward is None
     seen = []
 
-    def recording_forward(*args):
-        seen.append(forward(*args))
+    def recording_forward(*args, **kwargs):
+        seen.append(forward(*args, **kwargs))
         return seen[-1]
 
     monkeypatch.setattr(evaluate, "forward", recording_forward)
@@ -464,3 +493,137 @@ def test_step_budget_sized_on_the_nyc_shaped_file(tmp_path):
     assert np.median(steps) <= EVAL_MAX_STEPS < max(steps)
     wl = spec.WORKLOADS["nyc-h256"]
     assert capped_sample_steps(test, wl.eval_size, wl.history_cap) <= EVAL_MAX_STEPS
+
+
+# ---------------------------------------------------------------------------
+# history runs shared in inference
+# ---------------------------------------------------------------------------
+
+def per_instance_logits(store, cfg, instances):
+    with ad.no_grad():
+        return forward(store, cfg, batchify(instances))
+
+
+def shared_logits(store, cfg, instances):
+    with ad.no_grad():
+        given = evaluate.history_states(store, cfg, instances)
+        assert given is not None and set(given) == set(cfg.history_branches)
+        return forward(store, cfg, batchify(instances), history_states=given)
+
+
+def assert_same_outputs(got, want):
+    for name in ("loc_logits", "cat_logits", "t_hat"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if b is not None:
+            assert np.abs(a.value - b.value).max() <= 1e-12 * np.abs(b.value).max(), name
+
+
+def runs_with_empty_histories():
+    """Test instances of users whose test split starts at their first
+    session: each run holds empty histories and four history ends."""
+    vocab, users = weekly_schedule_corpus(n_users=3, n_weeks=4, slots_per_week=3)
+    for u in users:
+        u.split_point = 0
+    return vocab, users, make_instances(users, "test")
+
+
+VARIANT_CASES = [(v, True) for v in VARIANTS] + [("cslsl_c", False)]
+
+
+def case_cfg(vocab, variant, has_categories):
+    return ModelConfig(n_users=vocab.n_users, n_locs=vocab.n_locs, n_cats=vocab.n_cats if has_categories else 0,
+                       variant=variant, d_loc=6, d_cat=4, d_hour=3, d_day=3, d_user=3, hidden=8,
+                       has_categories=has_categories)
+
+
+def test_history_branches_are_the_zero_seeded_record_only_ones():
+    vocab, _ = weekly_schedule_corpus(n_users=2, n_weeks=3, slots_per_week=2)
+    got = {v: small_cfg(vocab, v).history_branches for v in VARIANTS}
+    assert got == {
+        "lsl": ("loc",), "sblsl": ("shared",), "slsl": ("time", "cat", "loc"), "hlsl": (),
+        "clsl": ("time",), "clsl_ctl": ("cat",), "cslsl": ("time",), "cslsl_t": ("cat",), "cslsl_c": ("time",),
+    }
+
+
+@pytest.mark.parametrize("variant,has_categories", VARIANT_CASES)
+def test_shared_history_runs_give_the_per_instance_outputs(variant, has_categories):
+    """On the test split (two history ends per user), and on runs with
+    empty histories and four ends, the shared long states give the
+    per-instance path's outputs, and `predict` its rankings."""
+    vocab, users = weekly_schedule_corpus(n_users=6, n_weeks=10, slots_per_week=4)
+    cases = [make_instances(users, "test"), runs_with_empty_histories()[2]]
+    assert {len({i.history.stop for i in cases[0] if i.user_index == u.user_index}) for u in users} == {2}
+    assert any(len(i.history) == 0 for i in cases[1])
+    cfg = case_cfg(vocab, variant, has_categories)
+    store = build_params(cfg, seed=11)
+    for instances in cases:
+        want = per_instance_logits(store, cfg, instances)
+        if cfg.history_branches:
+            assert_same_outputs(shared_logits(store, cfg, instances), want)
+        else:
+            assert evaluate.history_states(store, cfg, instances) is None  # hlsl runs per instance
+        preds = predict(store, cfg, instances, vocab=vocab if has_categories else None)
+        assert np.array_equal(preds.loc_ranked, rank_locations(want.loc_logits.value, 10))
+        if want.cat_logits is not None:
+            ranked = np.argsort(-want.cat_logits.value, axis=1, kind="stable")[:, :min(10, vocab.n_cats)]
+            assert np.array_equal(preds.cat_ranked, ranked)
+
+
+def test_history_rounds_run_each_distinct_record_once_without_a_graph(monkeypatch):
+    vocab, users, instances = runs_with_empty_histories()
+    cfg = small_cfg(vocab, "slsl")
+    store = build_params(cfg, seed=1)
+    run_gru, seen = evaluate.run_gru, []
+
+    def recording_run_gru(w, h0, x, pack, **kwargs):
+        seen.append((w.w_x is store["gru.time.long.w_x"], pack.batch, pack.size, kwargs, ad._grad_enabled))
+        return run_gru(w, h0, x, pack, **kwargs)
+
+    monkeypatch.setattr(evaluate, "run_gru", recording_run_gru)
+    predict(store, cfg, instances)
+    rounds = [s for s in seen if s[0]]
+    ends = {u.user_index: sorted({i.history.stop for i in instances if i.user_index == u.user_index}) for u in users}
+    assert all(len(e) == 4 for e in ends.values())
+    assert [r[1] for r in rounds] == [3, 3, 3, 3]  # one row per user in each of four rounds
+    assert rounds[0][2] == 0  # round 0 ends every run's empty history
+    records = sum(e[-1] - u.sessions[0].records.start for u, e in zip(users, ends.values()))
+    assert sum(r[2] for r in rounds) == records
+    assert all(r[3] == {"states": False} and r[4] is False for r in rounds)
+    assert len(seen) == 3 * 4  # the three branches' long chains; the short ones run in `model.forward`
+
+
+def test_a_batch_without_shared_runs_takes_the_per_instance_path(monkeypatch):
+    vocab, users = weekly_schedule_corpus(n_users=6, n_weeks=10, slots_per_week=4)
+    one_each = list({i.user_index: i for i in make_instances(users, "test")}.values())
+    cfg = small_cfg(vocab, "lsl")
+    store = build_params(cfg, seed=1)
+    assert evaluate.history_states(store, cfg, one_each) is None
+    calls = []
+
+    def recording_forward(*args, **kwargs):
+        calls.append((args[2].hist_mask.sum(), kwargs))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "forward", recording_forward)
+    predict(store, cfg, one_each)
+    assert calls == [(sum(len(i.history) for i in one_each), {"history_states": None})]
+
+
+def test_forward_takes_history_states_only_for_its_history_branches():
+    vocab, users = weekly_schedule_corpus(n_users=2, n_weeks=6, slots_per_week=3)
+    batch = batchify(make_instances(users, "test"))
+    for variant, branch in (("hlsl", "time"), ("cslsl", "cat")):
+        cfg = small_cfg(vocab, variant)
+        with pytest.raises(ValueError, match="history states"):
+            forward(build_params(cfg, seed=0), cfg, batch,
+                    history_states={branch: np.zeros((batch.size, cfg.hidden))})
+
+
+def test_given_history_states_still_need_a_prefix():
+    vocab, users = weekly_schedule_corpus(n_users=2, n_weeks=6, slots_per_week=3)
+    cfg = small_cfg(vocab, "lsl")
+    batch = batchify(make_instances(users, "test"))
+    batch.pref_mask[0] = 0.0
+    with pytest.raises(ValueError, match="prefix"):
+        forward(build_params(cfg, seed=0), cfg, batch, history_states={"loc": np.zeros((batch.size, cfg.hidden))})

@@ -452,6 +452,17 @@ def test_load_rejects_sessions_out_of_week_order(tmp_path):
     assert_refused(vocab, path, lines, ":8: S line week 201214 does not follow its user's last, 201215")
 
 
+def test_load_rejects_a_user_block_given_twice(tmp_path):
+    vocab, path, lines = fixture_lines(tmp_path)
+    last = max(i for i, line in enumerate(lines) if line.startswith("U\t"))
+    key = lines[last].split("\t")[1]
+    assert "\tusers=6" in lines[0]
+    lines[0] = lines[0].replace("\tusers=6", "\tusers=7")
+    repeat = len(lines) + 1  # the appended block's U line, counted from 1
+    lines += lines[last:]
+    assert_refused(vocab, path, lines, f":{repeat}: U line repeats user '{key}' of line {last + 1}")
+
+
 @pytest.mark.parametrize("tag", ["USER", "LOC", "CAT"])
 def test_load_vocab_checks_the_index_column(tmp_path, tag):
     result, vocab_path, proc_path = saved_dataset(tmp_path)
