@@ -73,6 +73,11 @@ def no_grad():
         _grad_enabled = previous
 
 
+def grad_enabled() -> bool:
+    """Whether operations record a graph: False inside `no_grad`."""
+    return _grad_enabled
+
+
 class GradError(Exception):
     pass
 

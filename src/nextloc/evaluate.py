@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .geo import GridSpec, GeoPoint, grid_index, haversine_vec
-from .model import ModelConfig, embed_records, forward, gru_weights, run_gru
+from .model import ModelConfig, forward
 from .objective import LossWeights
 from .params import ParamStore
 from .preprocess import SessionizedUser, Vocab
@@ -64,74 +64,6 @@ def step_batches(instances: list[TrainingInstance], max_steps: int = EVAL_MAX_ST
         yield instances[start:]
 
 
-def history_states(store: ParamStore, cfg: ModelConfig,
-                   instances: list[TrainingInstance]) -> dict[str, np.ndarray] | None:
-    """The final state of each `cfg.history_branches` long GRU for every
-    instance, (len(instances), hidden) per branch, from one chain per
-    history run; None when no two instances share a run, or the variant has
-    no such branch. Call it under `no_grad`.
-
-    A run is the instances whose `history` views start at the same row of
-    the same columns, with the same user: `make_instances` starts every
-    history at its user's first record, so a run is all of one user's
-    instances, whichever session they come from. Their histories are
-    prefixes of the run's longest, and a zero-seeded GRU that reads only
-    the records gives the same state at the end of each, whatever the
-    target. The chain runs in rounds: round j packs, for every run with a
-    jth distinct history end, its records from the (j - 1)th end (from its
-    start in round 0) to the jth, and starts from the final states of round
-    j - 1 (zeros in round 0). Each round goes through `model.run_gru` with
-    `states=False`, so it holds two (runs, hidden) state blocks, not a
-    state per record. An instance's state is its run's final state after
-    the round where its history ends; an empty history ends in round 0's
-    zeros."""
-    if not cfg.history_branches:
-        return None
-    runs: dict[tuple, int] = {}  # run key -> run number
-    heads: list[TrainingInstance] = []  # each run's first instance
-    run_of = []
-    for inst in instances:
-        h = inst.history
-        r = runs.setdefault((id(h.columns), h.start, inst.user_index), len(heads))
-        if r == len(heads):
-            heads.append(inst)
-        run_of.append(r)
-    if len(heads) == len(instances):
-        return None
-    # every run's distinct history ends, run after run, in order: a run's kth end closes its round k
-    ends = sorted({(r, i.history.stop) for r, i in zip(run_of, instances)})
-    first: dict[int, int] = {}
-    rounds = np.array([k - first.setdefault(r, k) for k, (r, _) in enumerate(ends)], dtype=np.intp)
-    end_run, end_stop = (np.array(c, dtype=np.intp) for c in zip(*ends))
-
-    # each run's records, from its start to its last end, run after run
-    run_start = np.array([i.history.start for i in heads], dtype=np.intp)
-    run_stop = end_stop[np.append(rounds[1:] == 0, True)]  # each run's last end
-    run_len = run_stop - run_start
-    flat = {name: np.concatenate([getattr(i.history.columns, name)[lo:hi]
-                                  for i, lo, hi in zip(heads, run_start, run_stop)])
-            for name in ("loc", "cat", "hour", "dow")}
-    np.maximum(flat["cat"], 0, out=flat["cat"])  # as `batchify` pads a category of -1
-    flat["user"] = np.repeat([i.user_index for i in heads], run_len)
-    seg_lo = np.where(rounds > 0, np.roll(end_stop, 1), run_start[end_run])  # round k reads from the (k - 1)th end
-    seg_off = (np.cumsum(run_len) - run_len)[end_run] + seg_lo - run_start[end_run]  # where in `flat`
-
-    weights = {b: gru_weights(store, f"gru.{b}.long") for b in cfg.history_branches}
-    finals = {b: np.empty((len(ends), cfg.hidden)) for b in weights}  # a run's final state at each end
-    for j in range(rounds.max() + 1):
-        sel = np.flatnonzero(rounds == j)
-        lengths = end_stop[sel] - seg_lo[sel]
-        pack = ad.Packing(np.arange(lengths.max(initial=0)) < lengths[:, None])
-        at = seg_off[sel][pack.rows] + pack.cols
-        x = embed_records(store, cfg, *(flat[name][at] for name in ("loc", "cat", "hour", "dow", "user")))
-        for b, w in weights.items():
-            h0 = finals[b][sel - 1] if j else np.zeros((len(sel), cfg.hidden))
-            finals[b][sel] = run_gru(w, ad.constant(h0), x, pack, states=False)[0].value
-    end_of = {e: k for k, e in enumerate(ends)}
-    own_end = np.array([end_of[r, i.history.stop] for r, i in zip(run_of, instances)], dtype=np.intp)
-    return {b: f[own_end] for b, f in finals.items()}
-
-
 def predict(
     store: ParamStore,
     cfg: ModelConfig,
@@ -146,18 +78,20 @@ def predict(
     predicted locations' categories, when `vocab` carries categories. The
     forward pass records no graph, and runs over `step_batches` of at most
     `max_steps` real steps, so its memory follows the budget, not the
-    longest histories. Where instances of a batch share a history run, the
-    zero-seeded long GRUs run once per run (`history_states`); a batch
-    whose instances all have their own run takes the per-instance path.
+    longest histories. Where instances of a batch share a history run,
+    `forward` runs the zero-seeded long GRUs once per run.
     """
     ranked, cats = [], []
+    target_loc, current_loc = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for chunk in step_batches(instances, max_steps):
+        batch = batchify(chunk)
         with ad.no_grad():
-            state = forward(store, cfg, batchify(chunk), history_states=history_states(store, cfg, chunk))
+            state = forward(store, cfg, batch)
         ranked.append(rank_locations(state.loc_logits.value, topn))
         if state.cat_logits is not None:
-            k = min(topn, state.cat_logits.value.shape[1])
-            cats.append(np.argsort(-state.cat_logits.value, axis=1, kind="stable")[:, :k])
+            cats.append(rank_locations(state.cat_logits.value, topn))
+        target_loc.append(batch.target_loc)
+        current_loc.append(batch.pref_loc[np.arange(batch.size), np.count_nonzero(batch.pref_mask, axis=1) - 1])
     loc_ranked = np.concatenate(ranked) if ranked else np.zeros((0, topn), dtype=np.intp)
     if cats:
         cat_ranked = np.concatenate(cats)
@@ -169,9 +103,9 @@ def predict(
         user=np.array([i.user_index for i in instances], dtype=np.intp),
         loc_ranked=loc_ranked,
         cat_ranked=cat_ranked,
-        target_loc=np.array([i.target_loc for i in instances], dtype=np.intp),
+        target_loc=np.concatenate(target_loc),
         target_cat=np.array([i.target_cat for i in instances], dtype=np.intp),
-        current_loc=np.array([i.history.columns.loc[i.history.stop + i.step - 1] for i in instances], dtype=np.intp),
+        current_loc=np.concatenate(current_loc),
     )
 
 

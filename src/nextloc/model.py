@@ -160,7 +160,7 @@ class Batch:
     pref_day: np.ndarray
     pref_mask: np.ndarray
     target_t: np.ndarray        # (B,) float
-    target_cat: np.ndarray      # (B,) ints, -1 when the dataset has no categories
+    target_cat: np.ndarray      # (B,) ints; `batchify` writes 0 for a record without a category
     target_loc: np.ndarray      # (B,) ints
 
     @property
@@ -291,26 +291,78 @@ def lsc_forward(
     return h_short, long_states, short_states
 
 
-def forward(store: ParamStore, cfg: ModelConfig, batch: Batch, *,
-            history_states: dict[str, np.ndarray] | None = None) -> BranchState:
+def history_runs(batch: Batch, pack: ad.Packing) -> np.ndarray | None:
+    """Each row's history run, named by the row that holds its records, given
+    the `Packing` of the rows' histories; None when no two rows share a
+    non-empty history. A row joins the run of its user's longest history in
+    the batch (the first of equal ones) when its records equal that
+    history's first ones in loc, cat, hour and day, as an empty history
+    always does; any other row is its own run."""
+    rows, lengths = np.arange(batch.size), pack.lengths
+    order = np.lexsort((-lengths, batch.user))  # by user, longest first; lexsort is stable, so ties keep row order
+    opens = np.r_[True, batch.user[order][1:] != batch.user[order][:-1]]
+    longest = np.empty_like(rows)
+    longest[order] = order[np.maximum.accumulate(np.where(opens, rows, 0))]
+    r, c = pack.rows, pack.cols
+    same = np.ones(batch.size, dtype=bool)
+    for a in (batch.hist_loc, batch.hist_cat, batch.hist_hour, batch.hist_day):
+        same[r[a[r, c] != a[longest[r], c]]] = False
+    return np.where(same, longest, rows) if (same & (lengths > 0) & (longest != rows)).any() else None
+
+
+def shared_long_states(store: ParamStore, cfg: ModelConfig, batch: Batch, runs: np.ndarray,
+                       lengths: np.ndarray) -> dict[str, Tensor]:
+    """The final state of each `cfg.history_branches` long GRU for every
+    row, (B, hidden) per branch, from one chain per history run (see
+    `history_runs`), given the rows' history `lengths`. A zero-seeded GRU
+    that reads only the records ends each history of a run in the state
+    that the run's chain holds after as many records, whatever the target.
+    The chain runs in rounds, its runs in the order of their first rows:
+    round j packs every run's records from its (j - 1)th distinct history
+    length (0 in round 0) to its jth, gathered from the batch's history
+    arrays, and starts from round j - 1's final states (zeros in round 0).
+    Each round calls `run_gru` with `states=False`, so it holds two (runs,
+    hidden) state blocks. A row takes its run's state after the round where
+    its history ends."""
+    _, first, run_of = np.unique(runs, return_index=True, return_inverse=True)
+    # every run's distinct history lengths, run after run, shortest first: a run's kth length ends its round k
+    width = batch.hist_mask.shape[1] + 1
+    ends, end_of = np.unique(first[run_of] * width + lengths, return_inverse=True)
+    end_first, end_len = np.divmod(ends, width)
+    k = np.arange(len(ends))
+    opens = np.r_[True, end_first[1:] != end_first[:-1]]  # a run's first end
+    rounds = k - np.maximum.accumulate(np.where(opens, k, 0))
+    seg_lo = np.where(opens, 0, np.roll(end_len, 1))  # round k reads from the (k - 1)th length
+    finals = {b: np.empty((len(ends), cfg.hidden)) for b in cfg.history_branches}
+    for j in range(rounds.max() + 1):
+        sel = np.flatnonzero(rounds == j)
+        seg_len = end_len[sel] - seg_lo[sel]
+        pack = ad.Packing(np.arange(seg_len.max()) < seg_len[:, None])
+        at = runs[end_first[sel]][pack.rows], seg_lo[sel][pack.rows] + pack.cols
+        x = embed_records(store, cfg, batch.hist_loc[at], batch.hist_cat[at], batch.hist_hour[at],
+                          batch.hist_day[at], batch.user[at[0]])
+        for b, f in finals.items():
+            h0 = f[sel - 1] if j else np.zeros((len(sel), cfg.hidden))
+            f[sel] = run_gru(gru_weights(store, f"gru.{b}.long"), ad.constant(h0), x, pack, states=False)[0].value
+    return {b: ad.constant(f[end_of]) for b, f in finals.items()}
+
+
+def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
     """Run the configured variant on a padded batch: each branch's LSC over
     the batch's real steps, then the heads it feeds, connected as the
     variant's `Wiring` says.
 
-    `history_states` maps some of `cfg.history_branches` to their long
-    GRU's final state per row, (B, hidden), computed elsewhere from the
-    rows' histories (see `evaluate.history_states`). Those branches skip
-    their long chains, and when no branch is left to read the batch's
-    histories, their embedding and packing are skipped too."""
+    Under `no_grad`, where rows share a history run (`history_runs`), each
+    `cfg.history_branches` long GRU runs once per run
+    (`shared_long_states`) instead of once per row, and when no branch is
+    left to read the batch's histories, their embedding is skipped too."""
     wiring = cfg.wiring
-    given = history_states or {}
-    if not set(given) <= set(cfg.history_branches):
-        raise ValueError(f"history states given for {sorted(given)}, but {cfg.variant} can take them only for "
-                         f"{list(cfg.history_branches)}")
-    pref_pack = ad.Packing(batch.pref_mask)
-    hist = hist_pack = None
-    if any(b not in given for b in cfg.branches):
-        hist_pack = ad.Packing(batch.hist_mask)
+    hist_pack, pref_pack = ad.Packing(batch.hist_mask), ad.Packing(batch.pref_mask)
+    runs = None if ad.grad_enabled() or not cfg.history_branches else history_runs(batch, hist_pack)
+    # the rounds run before the per-row embeddings are made, which then reuse the rounds' freed buffers
+    given = {} if runs is None else shared_long_states(store, cfg, batch, runs, hist_pack.lengths)
+    hist = None
+    if runs is None or cfg.history_branches != cfg.branches:  # a branch reads the per-row histories
         hist = embed_step(store, cfg, batch.hist_loc, batch.hist_cat, batch.hist_hour, batch.hist_day, batch.user,
                           hist_pack)
     pref = embed_step(store, cfg, batch.pref_loc, batch.pref_cat, batch.pref_hour, batch.pref_day, batch.user,
@@ -330,7 +382,7 @@ def forward(store: ParamStore, cfg: ModelConfig, batch: Batch, *,
             hist_pack,
             pref_pack,
             states=feeds_next,
-            h_long=ad.constant(given[branch]) if branch in given else None,
+            h_long=given.get(branch),
         )
         for head in cfg.heads if branch == SHARED else (branch,):
             x = h

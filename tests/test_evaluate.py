@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nextloc import autodiff as ad
-from nextloc import evaluate
+from nextloc import evaluate, model
 from nextloc.evaluate import (
     EVAL_MAX_STEPS,
     Predictions,
@@ -500,15 +500,23 @@ def test_step_budget_sized_on_the_nyc_shaped_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 def per_instance_logits(store, cfg, instances):
-    with ad.no_grad():
-        return forward(store, cfg, batchify(instances))
+    """The recorded forward, which runs every chain per instance."""
+    return forward(store, cfg, batchify(instances))
 
 
-def shared_logits(store, cfg, instances):
-    with ad.no_grad():
-        given = evaluate.history_states(store, cfg, instances)
-        assert given is not None and set(given) == set(cfg.history_branches)
-        return forward(store, cfg, batchify(instances), history_states=given)
+def shared_logits(monkeypatch, store, cfg, instances):
+    """`forward` under no_grad, and the long states it shared, one dict
+    per `model.shared_long_states` call."""
+    shared_long_states, given = model.shared_long_states, []
+
+    def recording(*args):
+        given.append(shared_long_states(*args))
+        return given[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(model, "shared_long_states", recording)
+        with ad.no_grad():
+            return forward(store, cfg, batchify(instances)), given
 
 
 def assert_same_outputs(got, want):
@@ -547,7 +555,7 @@ def test_history_branches_are_the_zero_seeded_record_only_ones():
 
 
 @pytest.mark.parametrize("variant,has_categories", VARIANT_CASES)
-def test_shared_history_runs_give_the_per_instance_outputs(variant, has_categories):
+def test_shared_history_runs_give_the_per_instance_outputs(monkeypatch, variant, has_categories):
     """On the test split (two history ends per user), and on runs with
     empty histories and four ends, the shared long states give the
     per-instance path's outputs, and `predict` its rankings."""
@@ -559,10 +567,12 @@ def test_shared_history_runs_give_the_per_instance_outputs(variant, has_categori
     store = build_params(cfg, seed=11)
     for instances in cases:
         want = per_instance_logits(store, cfg, instances)
+        got, given = shared_logits(monkeypatch, store, cfg, instances)
         if cfg.history_branches:
-            assert_same_outputs(shared_logits(store, cfg, instances), want)
+            assert [set(g) for g in given] == [set(cfg.history_branches)]
+            assert_same_outputs(got, want)
         else:
-            assert evaluate.history_states(store, cfg, instances) is None  # hlsl runs per instance
+            assert given == []  # hlsl runs per instance
         preds = predict(store, cfg, instances, vocab=vocab if has_categories else None)
         assert np.array_equal(preds.loc_ranked, rank_locations(want.loc_logits.value, 10))
         if want.cat_logits is not None:
@@ -574,13 +584,15 @@ def test_history_rounds_run_each_distinct_record_once_without_a_graph(monkeypatc
     vocab, users, instances = runs_with_empty_histories()
     cfg = small_cfg(vocab, "slsl")
     store = build_params(cfg, seed=1)
-    run_gru, seen = evaluate.run_gru, []
+    run_gru, seen = model.run_gru, []
+    long_w = {store[f"gru.{b}.long.w_x"] for b in cfg.branches}
 
     def recording_run_gru(w, h0, x, pack, **kwargs):
-        seen.append((w.w_x is store["gru.time.long.w_x"], pack.batch, pack.size, kwargs, ad._grad_enabled))
+        if any(w.w_x is lw for lw in long_w):
+            seen.append((w.w_x is store["gru.time.long.w_x"], pack.batch, pack.size, kwargs, ad._grad_enabled))
         return run_gru(w, h0, x, pack, **kwargs)
 
-    monkeypatch.setattr(evaluate, "run_gru", recording_run_gru)
+    monkeypatch.setattr(model, "run_gru", recording_run_gru)
     predict(store, cfg, instances)
     rounds = [s for s in seen if s[0]]
     ends = {u.user_index: sorted({i.history.stop for i in instances if i.user_index == u.user_index}) for u in users}
@@ -590,7 +602,7 @@ def test_history_rounds_run_each_distinct_record_once_without_a_graph(monkeypatc
     records = sum(e[-1] - u.sessions[0].records.start for u, e in zip(users, ends.values()))
     assert sum(r[2] for r in rounds) == records
     assert all(r[3] == {"states": False} and r[4] is False for r in rounds)
-    assert len(seen) == 3 * 4  # the three branches' long chains; the short ones run in `model.forward`
+    assert len(seen) == 3 * 4  # the three branches' long chains
 
 
 def test_a_batch_without_shared_runs_takes_the_per_instance_path(monkeypatch):
@@ -598,26 +610,47 @@ def test_a_batch_without_shared_runs_takes_the_per_instance_path(monkeypatch):
     one_each = list({i.user_index: i for i in make_instances(users, "test")}.values())
     cfg = small_cfg(vocab, "lsl")
     store = build_params(cfg, seed=1)
-    assert evaluate.history_states(store, cfg, one_each) is None
-    calls = []
+    batch = batchify(one_each)
+    assert model.history_runs(batch, ad.Packing(batch.hist_mask)) is None
+    run_gru, calls = model.run_gru, []
 
-    def recording_forward(*args, **kwargs):
-        calls.append((args[2].hist_mask.sum(), kwargs))
-        return forward(*args, **kwargs)
+    def recording_run_gru(w, h0, x, pack, **kwargs):
+        if w.w_x is store["gru.loc.long.w_x"]:
+            calls.append((pack.batch, pack.size))
+        return run_gru(w, h0, x, pack, **kwargs)
 
-    monkeypatch.setattr(evaluate, "forward", recording_forward)
+    monkeypatch.setattr(model, "run_gru", recording_run_gru)
     predict(store, cfg, one_each)
-    assert calls == [(sum(len(i.history) for i in one_each), {"history_states": None})]
+    assert calls == [(len(one_each), sum(len(i.history) for i in one_each))]  # one chain over every history
 
 
-def test_forward_takes_history_states_only_for_its_history_branches():
+def test_forward_takes_history_states_only_for_its_history_branches(monkeypatch):
+    """On a batch whose rows share history runs, `forward` under no_grad
+    runs the long GRU of every branch outside `history_branches` once over
+    all rows: all of hlsl's, and cslsl's cat and loc."""
     vocab, users = weekly_schedule_corpus(n_users=2, n_weeks=6, slots_per_week=3)
     batch = batchify(make_instances(users, "test"))
-    for variant, branch in (("hlsl", "time"), ("cslsl", "cat")):
+    assert model.history_runs(batch, ad.Packing(batch.hist_mask)) is not None
+    run_gru = model.run_gru
+    for variant, per_row in (("hlsl", ("time", "cat", "loc")), ("cslsl", ("cat", "loc"))):
         cfg = small_cfg(vocab, variant)
-        with pytest.raises(ValueError, match="history states"):
-            forward(build_params(cfg, seed=0), cfg, batch,
-                    history_states={branch: np.zeros((batch.size, cfg.hidden))})
+        store = build_params(cfg, seed=0)
+        branch_of = {id(store[f"gru.{b}.long.w_x"]): b for b in cfg.branches}
+        rows = {b: [] for b in cfg.branches}
+
+        def recording_run_gru(w, h0, x, pack, **kwargs):
+            if id(w.w_x) in branch_of:
+                rows[branch_of[id(w.w_x)]].append(pack.batch)
+            return run_gru(w, h0, x, pack, **kwargs)
+
+        monkeypatch.setattr(model, "run_gru", recording_run_gru)
+        with ad.no_grad():
+            forward(store, cfg, batch)
+        for b in cfg.branches:
+            if b in per_row:
+                assert rows[b] == [batch.size], (variant, b)
+            else:
+                assert rows[b] and max(rows[b]) < batch.size, (variant, b)
 
 
 def test_given_history_states_still_need_a_prefix():
@@ -625,5 +658,6 @@ def test_given_history_states_still_need_a_prefix():
     cfg = small_cfg(vocab, "lsl")
     batch = batchify(make_instances(users, "test"))
     batch.pref_mask[0] = 0.0
-    with pytest.raises(ValueError, match="prefix"):
-        forward(build_params(cfg, seed=0), cfg, batch, history_states={"loc": np.zeros((batch.size, cfg.hidden))})
+    assert model.history_runs(batch, ad.Packing(batch.hist_mask)) is not None
+    with pytest.raises(ValueError, match="prefix"), ad.no_grad():
+        forward(build_params(cfg, seed=0), cfg, batch)

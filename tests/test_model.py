@@ -3,6 +3,7 @@ import pytest
 
 from graph_ops import total
 from nextloc import autodiff as ad
+from nextloc import model
 from nextloc.model import (
     VARIANTS,
     Batch,
@@ -12,6 +13,7 @@ from nextloc.model import (
     embed_step,
     forward,
     gru_weights,
+    history_runs,
     lsc_forward,
 )
 from nextloc.objective import LossWeights, total_loss
@@ -629,3 +631,95 @@ def test_no_grad_forward_over_several_chunks_gives_the_recorded_final_states(var
         assert (a is None) == (b is None)
         if a is not None:
             assert a.value.tobytes() == b.value.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# history runs found from the batch's contents
+# ---------------------------------------------------------------------------
+
+H = [(0, 1, 5, 2), (1, 0, 7, 3), (2, 1, 9, 4)]  # user 0's longest history
+G = [(2, 0, 3, 1), (1, 1, 1, 6)]                # user 1's
+
+
+def rows_batch(rows):
+    """A padded batch of (user, history, prefix) rows; a history or prefix
+    is a list of (loc, cat, hour, day) records."""
+    def pad(seqs):
+        cols = np.zeros((4, len(seqs), max(map(len, seqs))), dtype=np.intp)
+        mask = np.zeros(cols.shape[1:])
+        for b, seq in enumerate(seqs):
+            if seq:
+                cols[:, b, :len(seq)] = np.array(seq).T
+            mask[b, :len(seq)] = 1.0
+        return [*cols, mask]
+
+    h, p, n = pad([r[1] for r in rows]), pad([r[2] for r in rows]), len(rows)
+    return Batch(
+        user=np.array([r[0] for r in rows], dtype=np.intp),
+        hist_loc=h[0], hist_cat=h[1], hist_hour=h[2], hist_day=h[3], hist_mask=h[4],
+        pref_loc=p[0], pref_cat=p[1], pref_hour=p[2], pref_day=p[3], pref_mask=p[4],
+        target_t=np.zeros(n), target_cat=np.zeros(n, dtype=np.intp), target_loc=np.zeros(n, dtype=np.intp),
+    )
+
+
+# no two rows share a non-empty history: each same-user row differs from
+# user 0's longest history in one field (loc, cat, hour, day), an empty
+# history shares nothing, and user 1's copy of H's prefix is another user's
+OWN_RUNS = rows_batch([
+    (0, H, [(1, 1, 2, 3)]),
+    (0, [(1, 1, 5, 2)], [(0, 0, 1, 1)]),
+    (0, [(0, 0, 5, 2), (1, 0, 7, 3)], [(2, 1, 4, 5)]),
+    (0, [(0, 1, 5, 2), (1, 0, 8, 3)], [(1, 0, 2, 2), (0, 1, 3, 3)]),
+    (0, H[:2] + [(2, 1, 9, 5)], [(2, 0, 6, 0)]),
+    (0, [], [(0, 1, 7, 4)]),
+    (1, H[:2], [(1, 1, 1, 1)]),
+])
+
+# prefixes of each user's longest history, which comes after its first
+# prefix in row order; row 5 differs from H and runs alone
+SHARED_RUNS = rows_batch([
+    (0, H[:1], [(1, 1, 2, 3)]),
+    (1, G[:1], [(0, 0, 1, 1)]),
+    (0, H, [(2, 1, 4, 5), (0, 0, 0, 0)]),
+    (0, H[:2], [(1, 0, 2, 2)]),
+    (0, [], [(0, 1, 3, 3)]),
+    (0, [(2, 1, 9, 4)], [(2, 0, 6, 0)]),
+    (1, G, [(0, 1, 7, 4)]),
+    (0, H[:2], [(1, 1, 1, 1)]),
+])
+
+
+def runs_of(batch):
+    return history_runs(batch, ad.Packing(batch.hist_mask))
+
+
+def test_rows_that_are_not_prefixes_of_their_users_longest_history_are_not_shared():
+    assert runs_of(OWN_RUNS) is None
+
+
+def test_rows_that_are_prefixes_of_their_users_longest_history_share_its_run():
+    assert runs_of(SHARED_RUNS).tolist() == [2, 6, 2, 2, 2, 5, 6, 2]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_shared_and_own_history_runs_give_the_recorded_forward(variant, monkeypatch):
+    cfg = toy_config(variant=variant)
+    store = build_params(cfg, seed=6)
+    shared_long_states, calls = model.shared_long_states, []
+
+    def recording(*args):
+        calls.append(args[3].tolist())
+        return shared_long_states(*args)
+
+    monkeypatch.setattr(model, "shared_long_states", recording)
+    for batch, runs in ((OWN_RUNS, None), (SHARED_RUNS, [2, 6, 2, 2, 2, 5, 6, 2])):
+        recorded = forward(store, cfg, batch)
+        with ad.no_grad():
+            bare = forward(store, cfg, batch)
+        assert calls == ([runs] if runs and cfg.history_branches else [])
+        calls.clear()
+        for name in ("t_hat", "cat_logits", "loc_logits"):
+            a, b = getattr(recorded, name), getattr(bare, name)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.abs(b.value - a.value).max() <= 1e-12 * np.abs(a.value).max(), name
