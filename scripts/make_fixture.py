@@ -2,8 +2,11 @@
 """Regenerate tests/data/checkins_foursquare.txt (200 lines, 6 malformed).
 
 The file is committed; rerun this only when the fixture needs to change.
+`python scripts/make_fixture.py [OUTPUT]` writes it to OUTPUT instead, for
+a comparison with the committed file.
 """
 
+import argparse
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ MONTHS = ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", 
 
 # Monday 2012-04-02 00:00:00 UTC
 WEEK0 = 1333324800
+FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "data" / "checkins_foursquare.txt"
 
 VENUES = [
     (f"v{i:02d}", cat, 40.70 + 0.01 * (i % 5), -74.00 + 0.012 * (i // 5))
@@ -46,7 +50,7 @@ def civil_from_days(z: int) -> tuple[int, int, int]:
     return y + (mo <= 2), mo, d
 
 
-def main() -> None:
+def main(path: Path = FIXTURE) -> None:
     rng = np.random.default_rng(20120403)
     good = []
     # 6 active users, 4 weekly slots over 8 weeks = 192 records
@@ -79,11 +83,13 @@ def main() -> None:
     out = good + bad
     assert len(out) == 200, len(out)
     rng.shuffle(out)
-    path = Path(__file__).resolve().parent.parent / "tests" / "data" / "checkins_foursquare.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
     print(f"wrote {path} ({len(out)} lines)")
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Regenerate the bundled 200-line test fixture.")
+    parser.add_argument("output", nargs="?", type=Path, default=FIXTURE,
+                        help="file to write (default: tests/data/checkins_foursquare.txt)")
+    main(parser.parse_args().output)

@@ -103,7 +103,7 @@ def _coerce(key: str, raw: str):
     return raw
 
 
-def parse_config(path, overrides: dict[str, str] | list[tuple[str, str]] | None = None) -> RunConfig:
+def parse_config(path, overrides: list[tuple[str, str]] = ()) -> RunConfig:
     """The run configuration of the file at `path`, with `overrides`, the
     command line's (key, value) pairs, over its values. Every problem found
     is raised at once, one per line of a `ConfigFileError`."""
@@ -127,11 +127,10 @@ def parse_config(path, overrides: dict[str, str] | list[tuple[str, str]] | None 
             problems.append(f"{key}: given twice (lines {first_line[key]} and {lineno})")
         first_line.setdefault(key, lineno)
         pairs.append((key, raw))
-    flags = list(overrides.items()) if isinstance(overrides, dict) else list(overrides or ())
-    flag_keys = [key for key, _ in flags]
+    flag_keys = [key for key, _ in overrides]
     problems += [f"{key}: given twice on the command line"
                  for key in sorted(set(flag_keys)) if flag_keys.count(key) > 1]
-    for key, raw in pairs + sorted(dict(flags).items()):
+    for key, raw in pairs + sorted(dict(overrides).items()):
         if key not in _FIELDS:
             problems.append(f"{key}: unknown key")
             continue

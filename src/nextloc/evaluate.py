@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .geo import GridSpec, GeoPoint, grid_index, haversine_vec
+from .geo import GridSpec, GeoPoint, grid_index, location_km
 from .model import ModelConfig, forward
 from .objective import LossWeights
 from .params import ParamStore
@@ -162,15 +162,10 @@ def bin_values(values, edges) -> np.ndarray:
     return np.bincount(idx, minlength=len(edges) - 1).astype(np.float64)
 
 
-def _coords(vocab: Vocab, idx) -> tuple[np.ndarray, np.ndarray]:
-    c = np.asarray(vocab.loc_coord, dtype=np.float64)[np.asarray(idx, dtype=np.intp)]
-    return c[:, 0], c[:, 1]
-
-
 def pred_target_distance_hist(preds: Predictions, vocab: Vocab, edges) -> Histogram:
-    """Distribution of km between the top-1 prediction and the target."""
-    d = haversine_vec(*_coords(vocab, preds.loc_ranked[:, 0]), *_coords(vocab, preds.target_loc))
-    d[preds.loc_ranked[:, 0] == preds.target_loc] = 0.0
+    """Distribution of km between the top-1 prediction and the target, the
+    distance that weights L_s in training."""
+    d = location_km(vocab.loc_coord, preds.loc_ranked[:, 0], preds.target_loc)
     return Histogram(np.asarray(edges, dtype=np.float64), bin_values(d, edges))
 
 
@@ -188,11 +183,8 @@ def displacement_comparison(
     record) to the predicted / true destination."""
     if edges is None:
         edges = displacement_edges()
-    cur = _coords(vocab, preds.current_loc)
-    d_pred = haversine_vec(*cur, *_coords(vocab, preds.loc_ranked[:, 0]))
-    d_pred[preds.loc_ranked[:, 0] == preds.current_loc] = 0.0
-    d_true = haversine_vec(*cur, *_coords(vocab, preds.target_loc))
-    d_true[preds.target_loc == preds.current_loc] = 0.0
+    d_pred = location_km(vocab.loc_coord, preds.current_loc, preds.loc_ranked[:, 0])
+    d_true = location_km(vocab.loc_coord, preds.current_loc, preds.target_loc)
     return (
         Histogram(np.asarray(edges), bin_values(d_pred, edges)).normalize(),
         Histogram(np.asarray(edges), bin_values(d_true, edges)).normalize(),

@@ -52,6 +52,16 @@ def haversine_vec(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
+def location_km(coords, a, b) -> np.ndarray:
+    """Haversine km between the locations of index arrays `a` and `b`, whose
+    (lat, lon) are rows of `coords`; exactly 0 where the indices are equal.
+    Passing `coords` as a float64 array spares a conversion per call."""
+    coords, a, b = np.asarray(coords, dtype=np.float64), np.asarray(a), np.asarray(b)
+    d = haversine_vec(coords[a, 0], coords[a, 1], coords[b, 0], coords[b, 1])
+    d[a == b] = 0.0
+    return d
+
+
 def grid_index(p: GeoPoint, g: GridSpec) -> tuple[int, int]:
     """(row, col) of the square cell containing p.
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .geo import haversine_vec
+from .geo import location_km
 from .model import BranchState
 
 
@@ -53,11 +53,7 @@ def spatial_coefficients(loc_logits: np.ndarray, target_loc: np.ndarray, loc_coo
     location; exactly 0 where the argmax is already correct. `loc_coord`
     holds (lat, lon) per location; passing it as a float64 array spares a
     conversion per call."""
-    pred = loc_logits.argmax(axis=1)
-    coords = np.asarray(loc_coord, dtype=np.float64)
-    d = haversine_vec(coords[pred, 0], coords[pred, 1], coords[target_loc, 0], coords[target_loc, 1])
-    d[pred == target_loc] = 0.0
-    return d
+    return location_km(loc_coord, loc_logits.argmax(axis=1), target_loc)
 
 
 def _xent(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,9 +14,11 @@ into place, so a failed write leaves any earlier checkpoint untouched.
 Loading reproduces the store bit-exactly. It first checks the sizes the
 header declares against the bytes the file has, then reads each array
 straight into its final buffer. It raises `CheckpointError` for a header
-that is not such JSON, a tensor listed twice, a negative tensor dimension,
-a tensor the rest of the file is too short for, or bytes after the last
-tensor.
+that is not such JSON, a `version`, `step`, `seed` or shape entry that is
+not a JSON integer (a boolean is not one) of at least 0, a tensor name
+that is not a string, a `meta` that is not an object, a tensor listed
+twice, a tensor the rest of the file is too short for, or bytes after the
+last tensor.
 
 A parameter has a gradient buffer only from the first `backward` of a
 training step that reaches it until that step's `adam_step`, which releases
@@ -101,9 +103,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.entries[name].tensor
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
 
     def names(self) -> list[str]:
         return list(self.entries)
@@ -224,20 +223,28 @@ def load_checkpoint(path, moments: bool = True) -> tuple[ParamStore, dict]:
             raise CheckpointError(f"{path}: header declares {n} bytes, {size - fh.tell()} left")
         try:
             header = json.loads(fh.read(n).decode("utf-8"))
-            version, meta = header["version"], dict(header["meta"])
-            step, seed = int(header["step"]), int(header["seed"])
-            specs = [(str(t["name"]), tuple(int(d) for d in t["shape"])) for t in header["tensors"]]
+            version, step, seed, meta = header["version"], header["step"], header["seed"], header["meta"]
+            specs = [(t["name"], t["shape"]) for t in header["tensors"]]
         except (ValueError, KeyError, TypeError) as e:
             raise CheckpointError(f"{path}: unreadable header: {type(e).__name__}: {e}") from None
+        for key, value in (("version", version), ("step", step), ("seed", seed)):
+            if not (type(value) is int and value >= 0):  # a JSON boolean loads as a bool, not an int
+                raise CheckpointError(f"{path}: header {key} {value!r} is not an integer >= 0")
         if version != 1:
             raise CheckpointError(f"{path}: unsupported version {version}")
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: header meta is not an object")
         seen = set()
         for name, shape in specs:
+            if not isinstance(name, str):
+                raise CheckpointError(f"{path}: tensor name {name!r} is not a string")
             if name in seen:
                 raise CheckpointError(f"{path}: tensor {name} is listed twice")
             seen.add(name)
+            if not (isinstance(shape, list) and all(type(d) is int for d in shape)):
+                raise CheckpointError(f"{path}: tensor {name} has shape {shape!r}, not a list of integers")
             if any(d < 0 for d in shape):
-                raise CheckpointError(f"{path}: tensor {name} has negative dimensions {list(shape)}")
+                raise CheckpointError(f"{path}: tensor {name} has negative dimensions {shape}")
         left = size - fh.tell()
         for name, shape in specs:
             need = 3 * 8 * math.prod(shape)

@@ -17,8 +17,9 @@ readers take column slices, so a record costs 36 bytes of columns instead
 of a 229-byte `SessRecord`. Iterating a view builds its `SessRecord`s;
 `share_columns` is the one way from a list of them back to columns, for
 the synthetic corpora and tests. The loader reads the processed file's
-columns first, computes their calendar fields in one pass, and then checks
-the records' chronology.
+columns first, derives their categories and calendar fields in one pass,
+as `build_sessions` does (`_record_columns`), and then checks the
+records' chronology.
 """
 
 from __future__ import annotations
@@ -284,8 +285,7 @@ def build_sessions(
     )
 
     loc = np.searchsorted(locs_kept, cols.loc[rows])
-    utc, tz = cols.utc[rows], cols.tz[rows]
-    records = RecordColumns(loc, loc_cat[loc], *local_fields(utc, tz), utc, tz)
+    records = _record_columns(loc_cat, loc, cols.utc[rows], cols.tz[rows])
     with gc_paused():
         out: list[SessionizedUser] = []
         start, last_user = 0, -1
@@ -396,11 +396,11 @@ VOCAB_MAGIC = "#nextloc-vocab\tv1"
 def save_processed(path, vocab: Vocab, users: list[SessionizedUser], header_lines: list[str] = ()) -> None:
     """Tagged plain-text layout. `U` starts a user block, `S` a session block,
     and `R` lines carry the canonical record columns (user key, location key,
-    category id, lat, lon, utc seconds, tz offset minutes). The category id
-    is the vocabulary's `cat_raw_id`, numbered over the filtered records, so
-    it can differ from the one `canonical.txt` gives the same record."""
-    coord_text = [f"{lat!r}\t{lon!r}" for lat, lon in vocab.loc_coord]
-    raw_cat = vocab.cat_raw_id + [-1]  # category -1 picks -1
+    category id, lat, lon, utc seconds, tz offset minutes). The category id,
+    lat and lon are the record's location's (`_location_fields_text`); the
+    id is the vocabulary's `cat_raw_id`, numbered over the filtered records,
+    so it can differ from the one `canonical.txt` gives the same record."""
+    loc_text = _location_fields_text(vocab)
     with atomic_write(path) as fh:
         fh.write(f"{PROCESSED_MAGIC}\tusers={vocab.n_users}\tlocs={vocab.n_locs}\tcats={vocab.n_cats}\n")
         for h in header_lines:
@@ -411,10 +411,9 @@ def save_processed(path, vocab: Vocab, users: list[SessionizedUser], header_line
             records, starts = user_rows(u.sessions)
             rows = slice(starts[0], starts[-1])
             lines = [
-                f"R\t{key}\t{vocab.loc_key[loc]}\t{raw_cat[cat]}\t{coord_text[loc]}\t{utc}\t{tz}\n"
-                for loc, cat, utc, tz in zip(
-                    records.loc[rows].tolist(), records.cat[rows].tolist(), records.utc[rows].tolist(),
-                    records.tz[rows].tolist(),
+                f"R\t{key}\t{vocab.loc_key[loc]}\t{loc_text[loc]}\t{utc}\t{tz}\n"
+                for loc, utc, tz in zip(
+                    records.loc[rows].tolist(), records.utc[rows].tolist(), records.tz[rows].tolist()
                 )
             ]
             for s, start, stop in zip(u.sessions, starts, starts[1:]):
@@ -576,7 +575,7 @@ def _load_processed(path, vocab: Vocab) -> list[SessionizedUser]:
                 raise PreprocessError(f"{path}:{lineno}: key {e.args[0]!r} not in the vocabulary") from None
             except (IndexError, ValueError) as e:
                 raise PreprocessError(f"{path}:{lineno}: malformed {tag} line: {e}") from None
-    records = _record_columns(vocab, loc, utc, tz)
+    records = _record_columns(vocab.loc_cat, loc, utc, tz)
     for session, start, stop in zip(sessions, starts, starts[1:] + [len(loc)]):
         session.records = RecordView(records, start, stop)
     for lineno, what, declared, owner in blocks:
@@ -668,9 +667,10 @@ def _coordinate_problem(name: str, value: float, text: str) -> str | None:
     return None
 
 
-def _record_columns(vocab: Vocab, loc: list[int], utc: list[int], tz: list[int]) -> RecordColumns:
-    """The records of the given columns, with the categories of `vocab` and
-    the calendar fields computed in one vectorised pass."""
-    loc_a, utc_a, tz_a = np.array(loc, dtype=np.intp), np.array(utc, dtype=np.int64), np.array(tz, dtype=np.int64)
-    cat = np.array(vocab.loc_cat, dtype=np.intp)[loc_a]
-    return RecordColumns(loc_a, cat, *local_fields(utc_a, tz_a), utc_a, tz_a)
+def _record_columns(loc_cat, loc, utc, tz) -> RecordColumns:
+    """The records at locations `loc` and times `utc` and `tz`, each with
+    its location's category in `loc_cat` and the calendar fields of its
+    local time, computed in one vectorised pass."""
+    loc, utc, tz = np.asarray(loc, dtype=np.intp), np.asarray(utc, dtype=np.int64), np.asarray(tz, dtype=np.int64)
+    cat = np.asarray(loc_cat, dtype=np.intp)[loc]
+    return RecordColumns(loc, cat, *local_fields(utc, tz), utc, tz)

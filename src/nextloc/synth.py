@@ -18,28 +18,42 @@ from __future__ import annotations
 
 import numpy as np
 
-from .preprocess import Session, SessionizedUser, SessRecord, Vocab, share_columns, split_train_test
+from .preprocess import Session, SessionizedUser, SessRecord, Vocab, local_fields, share_columns, split_train_test
 
 # Monday 2023-01-02 00:00:00 UTC; every synthetic week starts here + 7d * w
 _WEEK0 = 1672617600
 _BASE_LAT, _BASE_LON = 40.70, -74.00
 
 
-def _vocab(n_users: int, n_locs: int, n_cats: int, coords: list[tuple[float, float]], loc_cat: list[int]) -> Vocab:
-    return Vocab(
-        user_key=[f"u{i:03d}" for i in range(n_users)],
-        loc_key=[f"l{i:03d}" for i in range(n_locs)],
+def _corpus(
+    coords: list[tuple[float, float]], loc_cat: list[int], n_cats: int, n_weeks: int,
+    plans: list[list[tuple[int, int]]], visit, train_ratio: float = 0.8,
+) -> tuple[Vocab, list[SessionizedUser]]:
+    """Locations at `coords` with categories `loc_cat`, and users who keep
+    the sorted (day, hour) slots of `plans[u]` every week, on the hour, in
+    UTC: in slot `j` of a week, user `u` visits location
+    `visit(u, j, day, hour)`, which is called user by user, week by week,
+    slot by slot. A record's category is its location's."""
+    vocab = Vocab(
+        user_key=[f"u{i:03d}" for i in range(len(plans))],
+        loc_key=[f"l{i:03d}" for i in range(len(coords))],
         cat_name=[f"cat{i}" for i in range(n_cats)],
         cat_raw_id=list(range(n_cats)),
         loc_coord=coords,
         loc_cat=loc_cat,
     )
-
-
-def _record(loc: int, cat: int, day: int, hour: int, week: int) -> SessRecord:
-    utc = _WEEK0 + week * 604800 + day * 86400 + hour * 3600
-    tow = (day * 24 + hour) / 168.0
-    return SessRecord(loc, cat, hour, day, tow, utc, 0)
+    users = []
+    for u, slots in enumerate(plans):
+        sessions = []
+        for w in range(n_weeks):
+            rows = []
+            for j, (day, hour) in enumerate(slots):
+                loc = visit(u, j, day, hour)
+                utc = _WEEK0 + w * 604800 + day * 86400 + hour * 3600
+                rows.append(SessRecord(loc, loc_cat[loc], *local_fields(utc, 0), utc, 0))
+            sessions.append(Session(week_id=202301 + w, records=rows))
+        users.append(SessionizedUser(u, sessions))
+    return vocab, split_train_test(share_columns(users), train_ratio)
 
 
 def weekly_schedule_corpus(
@@ -56,23 +70,15 @@ def weekly_schedule_corpus(
     coords = [
         (_BASE_LAT + 0.004 * (l // 5), _BASE_LON + 0.005 * (l % 5)) for l in range(n_locs)
     ]
-    vocab = _vocab(n_users, n_locs, n_cats, coords, loc_cat)
+    plans = [
+        sorted(((u + 2 * k) % 7, (3 * u + 5 * k) % 24) for k in range(slots_per_week)) for u in range(n_users)
+    ]
 
-    users = []
-    for u in range(n_users):
-        slots = sorted(
-            ((u + 2 * k) % 7, (3 * u + 5 * k) % 24) for k in range(slots_per_week)
-        )
-        sessions = []
-        for w in range(n_weeks):
-            rows = []
-            for day, hour in slots:
-                cat = (hour // 4 + day) % n_cats
-                loc = cat + n_cats * (u % per_cat[cat])
-                rows.append(_record(loc, cat, day, hour, w))
-            sessions.append(Session(week_id=202301 + w, records=rows))
-        users.append(SessionizedUser(u, sessions))
-    return vocab, split_train_test(share_columns(users), train_ratio)
+    def visit(u, j, day, hour):
+        cat = (hour // 4 + day) % n_cats
+        return cat + n_cats * (u % per_cat[cat])
+
+    return _corpus(coords, loc_cat, n_cats, n_weeks, plans, visit, train_ratio)
 
 
 def two_cluster_corpus(
@@ -96,22 +102,14 @@ def two_cluster_corpus(
         base = _BASE_LAT if l < 10 else _BASE_LAT + dlat
         coords.append((base + 0.003 * ((l % 10) // 5), _BASE_LON + 0.004 * (l % 5)))
     loc_cat = [l % n_cats for l in range(n_locs)]
-    vocab = _vocab(n_users, n_locs, n_cats, coords, loc_cat)
+    patterns = [u % (n_users // 2) for u in range(n_users)]
+    plans = [sorted(((p + 2 * k) % 7, (3 * p + 7 * k) % 24) for k in range(slots_per_week)) for p in patterns]
 
-    users = []
-    for u in range(n_users):
-        cluster = 0 if u < n_users // 2 else 1
-        base_loc = 10 * cluster
-        pattern = u % (n_users // 2)
-        slots = sorted(((pattern + 2 * k) % 7, (3 * pattern + 7 * k) % 24) for k in range(slots_per_week))
-        sessions = []
-        for w in range(n_weeks):
-            rows = []
-            for j, (day, hour) in enumerate(slots):
-                loc = base_loc + (pattern + j) % 10
-                if rng.random() < noise:
-                    loc = base_loc + int(rng.integers(10))
-                rows.append(_record(loc, loc_cat[loc], day, hour, w))
-            sessions.append(Session(week_id=202301 + w, records=rows))
-        users.append(SessionizedUser(u, sessions))
-    return vocab, split_train_test(share_columns(users))
+    def visit(u, j, day, hour):
+        base_loc = 0 if u < n_users // 2 else 10  # the user's cluster
+        loc = base_loc + (patterns[u] + j) % 10
+        if rng.random() < noise:
+            loc = base_loc + int(rng.integers(10))
+        return loc
+
+    return _corpus(coords, loc_cat, n_cats, n_weeks, plans, visit)

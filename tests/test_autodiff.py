@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -858,11 +859,11 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
 
 
-def checkpoint_with_shape(shape, n_bytes: int = 3 * 6 * 8) -> bytes:
-    """A version-1 checkpoint of one tensor whose header claims `shape`,
-    followed by `n_bytes` zero bytes, by default enough for three
-    six-value arrays."""
-    header = {"version": 1, "step": 0, "seed": 0, "meta": {}, "tensors": [{"name": "w", "shape": shape}]}
+def checkpoint_with_shape(shape, n_bytes: int = 3 * 6 * 8, name="w", **fields) -> bytes:
+    """A version-1 checkpoint of one tensor `name` whose header claims
+    `shape`, with `fields` over the header's other values, followed by
+    `n_bytes` zero bytes, by default enough for three six-value arrays."""
+    header = {"version": 1, "step": 0, "seed": 0, "meta": {}, "tensors": [{"name": name, "shape": shape}], **fields}
     blob = json.dumps(header).encode("utf-8")
     return CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob + bytes(n_bytes)
 
@@ -887,6 +888,29 @@ def test_checkpoint_with_negative_dimension_rejected(tmp_path, shape):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(checkpoint_with_shape(shape))
     with pytest.raises(CheckpointError, match="negative dimensions"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape,fields,why", [
+    ([2.9, 2], {}, "not a list of integers"),
+    (["2", 3], {}, "not a list of integers"),
+    ([True, 6], {}, "not a list of integers"),
+    ([2, 3], {"step": 1.5}, "step 1.5 is not an integer >= 0"),
+    ([2, 3], {"seed": "0"}, "seed '0' is not an integer >= 0"),
+    ([2, 3], {"version": 1.0}, "version 1.0 is not an integer >= 0"),
+    ([2, 3], {"version": True}, "version True is not an integer >= 0"),
+    ([2, 3], {"name": 3}, "tensor name 3 is not a string"),
+    ([2, 3], {"meta": [["epoch", 1]]}, "meta is not an object"),
+    ([2, 3], {"seed": -1}, "seed -1 is not an integer >= 0"),
+    ([2, 3], {"step": -1}, "step -1 is not an integer >= 0"),
+], ids=["shape-float", "shape-string", "shape-bool", "step-float", "seed-string", "version-float",
+        "version-bool", "name-number", "meta-pairs", "seed-negative", "step-negative"])
+def test_checkpoint_header_values_of_other_types_rejected(tmp_path, shape, fields, why):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(checkpoint_with_shape([2, 3]))
+    assert load_checkpoint(path)[0]["w"].value.shape == (2, 3)  # the header without `fields` loads
+    path.write_bytes(checkpoint_with_shape(shape, **fields))
+    with pytest.raises(CheckpointError, match=re.escape(why)):
         load_checkpoint(path)
 
 

@@ -190,7 +190,7 @@ def test_key_given_twice_in_one_file_rejected(tmp_path, capsys):
     assert line.startswith("nextloc-error: config-invalid:")
     assert "hidden: given twice (lines 2 and 5)" in line and "epochs: must be >= 1" in line
     cfg.write_text("output_dir = out\nhidden = 600\n")
-    assert parse_config(cfg, {"hidden": "8"}).hidden == 8  # --set still overrides the file
+    assert parse_config(cfg, [("hidden", "8")]).hidden == 8  # --set still overrides the file
 
 
 def test_a_key_given_twice_among_the_flags_rejected(tmp_path, capsys):
@@ -566,6 +566,17 @@ def test_evaluate_rejects_negative_checkpoint_dimensions(trained, capsys, shape)
     assert rc == 1
     line = single_error_line(capsys.readouterr().err)
     assert line.startswith("nextloc-error: pipeline:") and "negative dimensions" in line
+
+
+def test_evaluate_rejects_a_checkpoint_with_a_negative_seed_in_one_line(trained, capsys):
+    tmp_path, cfg = trained
+    bad = tmp_path / "negative-seed.ckpt"
+    bad.write_bytes(checkpoint_with_shape([6], seed=-1))
+    rc = main(["evaluate", "--config", str(cfg), "--checkpoint", str(bad)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert single_error_line(err).startswith("nextloc-error: pipeline:") and "seed -1 is not an integer" in err
 
 
 def test_evaluate_rejects_checkpoint_listing_a_tensor_twice(trained, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nextloc.geo import EARTH_RADIUS_KM, GeoPoint, GridSpec, grid_index, haversine_km, haversine_vec
+from nextloc.geo import EARTH_RADIUS_KM, GeoPoint, GridSpec, grid_index, haversine_km, haversine_vec, location_km
 
 
 def oracle_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -46,6 +46,15 @@ def test_vectorized_matches_scalar():
     got = haversine_vec(lat1, lon1, lat2, lon2)
     for i in range(len(pts)):
         assert got[i] == pytest.approx(haversine_km(GeoPoint(lat1[i], lon1[i]), GeoPoint(lat2[i], lon2[i])), abs=1e-12)
+
+
+def test_location_km_is_the_haversine_between_rows_and_0_between_equal_indices():
+    coords = [(40.7, -74.0), (40.8, -73.9), (35.7, 139.7)]
+    a, b = [0, 1, 2, 1], [2, 1, 0, 0]
+    c = np.asarray(coords)
+    d = location_km(coords, a, b)
+    assert d.tolist() == haversine_vec(c[a, 0], c[a, 1], c[b, 0], c[b, 1]).tolist()
+    assert d[1] == 0.0
 
 
 coord = st.tuples(

@@ -40,3 +40,13 @@ def test_benchmark_json_matches_its_source():
     spec = runpy.run_path(str(ROOT / "perfbench" / "spec.py"))
     want = json.dumps(spec["benchmark_json"](), indent=2) + "\n"
     assert (ROOT / "BENCHMARK.json").read_text(encoding="utf-8") == want
+
+
+def test_fixture_regenerates_byte_for_byte(tmp_path):
+    """tests/data/checkins_foursquare.txt is what scripts/make_fixture.py
+    writes."""
+    out = tmp_path / "checkins.txt"
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "make_fixture.py"), str(out)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == (ROOT / "tests" / "data" / "checkins_foursquare.txt").read_bytes()
