@@ -29,7 +29,9 @@ no parents and no backward closure, so inference keeps none of the buffers
 a backward pass would read, and `backward` on such an output raises
 `GradError`. There a GRU chain whose per-pair states are not asked for
 holds O((chunk + B) H) floats for B rows at hidden size H, whatever its
-length: one chunk of gates and two blocks of states.
+length: one chunk of gates and two blocks of states. Such a chain can also
+be read mid-way, each row at a length of its own (`ends`), since the state
+a row reaches is copied out at the step that reaches it.
 
 The operations are the few the recurrent predictor needs. A `Packing` lists
 the real (row, step) pairs of a batch of left-aligned sequences step by
@@ -306,13 +308,19 @@ def _projection_chunks(off, steps: int, budget: int) -> list[int]:
 
 
 def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing, *,
-                 states: bool = True) -> tuple[Tensor, Tensor | None]:
+                 states: bool = True, ends=None) -> tuple[Tensor, Tensor | None]:
     """Run one GRU from h0 (B, H) over x (N, in), the inputs of `pack`'s real
     pairs. Returns the final state of every row (B, H), and the state after
     every pair, packed (N, H), or None with `states=False`. A row without
     real pairs ends in its h0 row; with no pairs at all the final states are
     h0's, and the weights take a zero gradient, so that every weight holds a
     gradient after a backward, also when a batch has no history.
+
+    `ends=(rows, lengths)` reads the chain mid-way: the first output is then
+    the state of row rows[i] after lengths[i] of its pairs, (len(rows), H),
+    h0's row for a length of 0; rows may repeat. It needs `no_grad` and
+    `states=False`, and raises `GradError` otherwise or for a length outside
+    0 to the row's own.
 
     Each step computes z = sig(Wz x + Uz h + bz), r = sig(Wr x + Ur h + br),
     n = tanh(Wn x + r * (Un h) + bn) and h' = (1 - z) * n + z * h on the rows
@@ -331,10 +339,10 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing, *,
     `pack.order`: the forward keeps the gates, the states and `U_n h` of
     every pair, (5N + B) H floats. Under `no_grad` every chunk reuses one
     gate buffer; with `states=False` the states alternate between two
-    (B, H) blocks, which never overwrite a finished row's final state, since
-    later steps write only longer rows. Such a chain holds
-    O((chunk + B) H) floats besides its input, whatever N. Both modes issue
-    the same products, so they give the same bits.
+    (B, H) blocks, and every state the chain returns, the final states
+    included, is copied out at the step that reaches it. Such a chain holds
+    O((chunk + B) H) floats besides its input and its output, whatever N.
+    Both modes issue the same products, so they give the same bits.
 
     Backpropagation through time visits the same blocks in reverse and
     writes each step's gate gradients over the buffers that step saved,
@@ -365,13 +373,21 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing, *,
     off, order = pack.off, pack.order
     record = _grad_enabled
     two_blocks = not (record or states)
+    if ends is not None and not two_blocks:
+        raise GradError("a GRU chain is read at `ends` only under no_grad and with states=False")
     # step t writes its states at state row `write[t]` and reads its previous states at `read[t]`
-    if two_blocks:  # step t writes block (t + 1) % 2, so a row of length L ends in block L % 2
+    if two_blocks:  # step t writes block (t + 1) % 2, its rows at their places in `order`
         write = bsz * ((np.arange(pack.steps) + 1) % 2)
-        last = np.empty(bsz, dtype=np.intp)
-        last[order] = bsz * (pack.lengths[order] % 2) + np.arange(bsz)
+        end_rows, end_lens = (np.asarray(a, dtype=np.intp)
+                              for a in (ends if ends is not None else (np.arange(bsz), pack.lengths)))
+        if ((end_lens < 0) | (end_lens > pack.lengths[end_rows])).any():
+            raise GradError("a GRU chain is read at `ends` within each row's own pairs only")
+        place, by_len = np.argsort(order)[end_rows], np.argsort(end_lens, kind="stable")  # place: row in a block
+        at = np.searchsorted(end_lens[by_len], np.arange(pack.steps + 2)).tolist()  # by_len[at[L]:at[L + 1]] end at L
+        out = np.empty((len(end_rows), hd))
+        out[by_len[:at[1]]] = h0.value[end_rows[by_len[:at[1]]]]
     else:
-        write, last = bsz + off[:-1], pack.last
+        write = bsz + off[:-1]
     read = np.concatenate(([0], write[:-1]))
     bounds = _projection_chunks(off, pack.steps, GRU_CHUNK_PAIRS)
     wx = w.w_x.value.reshape(3, hd, d_in)
@@ -417,6 +433,9 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing, *,
             np.subtract(1.0, z, out=h_new)
             h_new *= n
             h_new += np.multiply(z, h, out=tmp)
+            if two_blocks and at[t + 1] < at[t + 2]:
+                sel = by_len[at[t + 1]: at[t + 2]]
+                out[sel] = hs[write[t] + place[sel]]
 
     states_grad = None  # the gradient the per-pair states received, for the BPTT below
 
@@ -427,7 +446,7 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing, *,
         if states_grad is not None:
             dh[bsz:] = states_grad
             states_grad = None
-        dh[last] += g                      # distinct rows; a row without pairs ends in its h0 row
+        dh[pack.last] += g                 # distinct rows; a row without pairs ends in its h0 row
         uh = np.empty((3, bsz, hd))
         scratch = np.empty((4, bsz, hd))
         for t in reversed(range(pack.steps)):
@@ -474,7 +493,7 @@ def gru_sequence(x: Tensor, h0: Tensor, w: GRUWeights, pack: Packing, *,
             np.concatenate([d.sum(axis=0) for d in dgx]),
         )
 
-    final = Tensor(hs[last], parents=(x, h0, w.w_x, w.w_h, w.bias), backward=bw_final)
+    final = Tensor(out if two_blocks else hs[pack.last], parents=(x, h0, w.w_x, w.w_h, w.bias), backward=bw_final)
     if not states:
         return final, None
 

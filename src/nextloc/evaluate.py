@@ -19,7 +19,7 @@ from .model import ModelConfig, forward
 from .objective import LossWeights
 from .params import ParamStore
 from .preprocess import SessionizedUser, Vocab
-from .trainer import TrainHyper, TrainingInstance, batchify
+from .trainer import TrainHyper, TrainingInstance, batchify, target_rows
 
 
 @dataclass
@@ -82,7 +82,7 @@ def predict(
     `forward` runs the zero-seeded long GRUs once per run.
     """
     ranked, cats = [], []
-    target_loc, current_loc = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    target_loc, target_cat, current_loc = ([np.zeros(0, dtype=np.intp)] for _ in range(3))
     for chunk in step_batches(instances, max_steps):
         batch = batchify(chunk)
         with ad.no_grad():
@@ -91,6 +91,8 @@ def predict(
         if state.cat_logits is not None:
             cats.append(rank_locations(state.cat_logits.value, topn))
         target_loc.append(batch.target_loc)
+        columns, rows = target_rows(chunk)
+        target_cat.append(columns.cat[rows])  # unclamped: -1 for a record without a category
         current_loc.append(batch.pref_loc[np.arange(batch.size), np.count_nonzero(batch.pref_mask, axis=1) - 1])
     loc_ranked = np.concatenate(ranked) if ranked else np.zeros((0, topn), dtype=np.intp)
     if cats:
@@ -104,7 +106,7 @@ def predict(
         loc_ranked=loc_ranked,
         cat_ranked=cat_ranked,
         target_loc=np.concatenate(target_loc),
-        target_cat=np.array([i.target_cat for i in instances], dtype=np.intp),
+        target_cat=np.concatenate(target_cat),
         current_loc=np.concatenate(current_loc),
     )
 

@@ -225,40 +225,35 @@ def gru_weights(store: ParamStore, prefix: str) -> GRUWeights:
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def embed_records(store: ParamStore, cfg: ModelConfig, loc, cat, hour, day, user) -> Tensor:
-    """Embeddings of records given by equal-shaped index arrays, e_loc +
-    e_cat + e_hour + e_day + e_user concatenated in that order: one graph
-    node of shape loc.shape + (dim_record,). On data without categories
-    every record reads the shared category row."""
-    loc = np.asarray(loc)
-    cat_idx = cat if cfg.has_categories else np.zeros(loc.shape, dtype=np.intp)
+def embed_step(store: ParamStore, cfg: ModelConfig, loc, cat, hour, day, user, pack: ad.Packing) -> Tensor:
+    """Embeddings of the real records of (B, T) index arrays, packed in
+    `pack`'s order, e_loc + e_cat + e_hour + e_day + e_user concatenated in
+    that order: one (N, dim_record) graph node. `user` (B,) gives each row's
+    user. On data without categories every record reads the shared category
+    row."""
+    loc = pack.gather(loc)
+    cat_idx = pack.gather(cat) if cfg.has_categories else np.zeros(loc.shape, dtype=np.intp)
     return ad.concat_embeddings(
         [
             (store["emb.loc"], loc),
             (store["emb.cat"], cat_idx),
-            (store["emb.hour"], hour),
-            (store["emb.day"], day),
-            (store["emb.user"], user),
+            (store["emb.hour"], pack.gather(hour)),
+            (store["emb.day"], pack.gather(day)),
+            (store["emb.user"], np.asarray(user)[pack.rows]),
         ]
     )
 
 
-def embed_step(store: ParamStore, cfg: ModelConfig, loc, cat, hour, day, user, pack: ad.Packing) -> Tensor:
-    """Embeddings of the real records of (B, T) index arrays, packed in
-    `pack`'s order: one (N, dim_record) graph node (see `embed_records`).
-    `user` (B,) gives each row's user."""
-    return embed_records(store, cfg, pack.gather(loc), pack.gather(cat), pack.gather(hour), pack.gather(day),
-                         np.asarray(user)[pack.rows])
-
-
 def run_gru(w: GRUWeights, h0: Tensor, x: Tensor, pack: ad.Packing, *,
-            states: bool = True) -> tuple[Tensor, Tensor | None]:
+            states: bool = True, ends=None) -> tuple[Tensor, Tensor | None]:
     """One GRU chain over the packed x (N, in); returns the final hidden
     state (B, hidden), the chain's graph node, and every real step's state,
     packed (N, hidden), a node over it that only `hlsl` reads; None with
     `states=False`, which lets an inference chain keep two (B, hidden) state
-    blocks instead of N state rows."""
-    return ad.gru_sequence(x, h0, w, pack, states=states)
+    blocks instead of N state rows. Such a chain can return, instead of the
+    final states, each of `ends=(rows, lengths)`' rows' state after that many
+    of its steps (see `ad.gru_sequence`)."""
+    return ad.gru_sequence(x, h0, w, pack, states=states, ends=ends)
 
 
 def lsc_forward(
@@ -317,34 +312,16 @@ def shared_long_states(store: ParamStore, cfg: ModelConfig, batch: Batch, runs: 
     `history_runs`), given the rows' history `lengths`. A zero-seeded GRU
     that reads only the records ends each history of a run in the state
     that the run's chain holds after as many records, whatever the target.
-    The chain runs in rounds, its runs in the order of their first rows:
-    round j packs every run's records from its (j - 1)th distinct history
-    length (0 in round 0) to its jth, gathered from the batch's history
-    arrays, and starts from round j - 1's final states (zeros in round 0).
-    Each round calls `run_gru` with `states=False`, so it holds two (runs,
-    hidden) state blocks. A row takes its run's state after the round where
-    its history ends."""
-    _, first, run_of = np.unique(runs, return_index=True, return_inverse=True)
-    # every run's distinct history lengths, run after run, shortest first: a run's kth length ends its round k
-    width = batch.hist_mask.shape[1] + 1
-    ends, end_of = np.unique(first[run_of] * width + lengths, return_inverse=True)
-    end_first, end_len = np.divmod(ends, width)
-    k = np.arange(len(ends))
-    opens = np.r_[True, end_first[1:] != end_first[:-1]]  # a run's first end
-    rounds = k - np.maximum.accumulate(np.where(opens, k, 0))
-    seg_lo = np.where(opens, 0, np.roll(end_len, 1))  # round k reads from the (k - 1)th length
-    finals = {b: np.empty((len(ends), cfg.hidden)) for b in cfg.history_branches}
-    for j in range(rounds.max() + 1):
-        sel = np.flatnonzero(rounds == j)
-        seg_len = end_len[sel] - seg_lo[sel]
-        pack = ad.Packing(np.arange(seg_len.max()) < seg_len[:, None])
-        at = runs[end_first[sel]][pack.rows], seg_lo[sel][pack.rows] + pack.cols
-        x = embed_records(store, cfg, batch.hist_loc[at], batch.hist_cat[at], batch.hist_hour[at],
-                          batch.hist_day[at], batch.user[at[0]])
-        for b, f in finals.items():
-            h0 = f[sel - 1] if j else np.zeros((len(sel), cfg.hidden))
-            f[sel] = run_gru(gru_weights(store, f"gru.{b}.long"), ad.constant(h0), x, pack, states=False)[0].value
-    return {b: ad.constant(f[end_of]) for b, f in finals.items()}
+    So each branch runs its long GRU once, with `states=False`, over the
+    histories of the rows that name the runs, and reads each row's state
+    where its history ends (`ends`), zeros for an empty history."""
+    heads, head_of = np.unique(runs, return_inverse=True)
+    pack = ad.Packing(batch.hist_mask[heads])
+    x = embed_step(store, cfg, batch.hist_loc[heads], batch.hist_cat[heads], batch.hist_hour[heads],
+                   batch.hist_day[heads], batch.user[heads], pack)
+    h0 = ad.constant(np.zeros((len(heads), cfg.hidden)))
+    return {b: run_gru(gru_weights(store, f"gru.{b}.long"), h0, x, pack, states=False, ends=(head_of, lengths))[0]
+            for b in cfg.history_branches}
 
 
 def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
@@ -353,13 +330,14 @@ def forward(store: ParamStore, cfg: ModelConfig, batch: Batch) -> BranchState:
     variant's `Wiring` says.
 
     Under `no_grad`, where rows share a history run (`history_runs`), each
-    `cfg.history_branches` long GRU runs once per run
-    (`shared_long_states`) instead of once per row, and when no branch is
-    left to read the batch's histories, their embedding is skipped too."""
+    `cfg.history_branches` long GRU runs one chain over the runs and reads
+    each row's state where its history ends (`shared_long_states`) instead
+    of running once per row, and when no branch is left to read the batch's
+    histories, their per-row embedding is skipped too."""
     wiring = cfg.wiring
     hist_pack, pref_pack = ad.Packing(batch.hist_mask), ad.Packing(batch.pref_mask)
     runs = None if ad.grad_enabled() or not cfg.history_branches else history_runs(batch, hist_pack)
-    # the rounds run before the per-row embeddings are made, which then reuse the rounds' freed buffers
+    # the run chains run before the per-row embeddings are made, which then reuse their freed buffers
     given = {} if runs is None else shared_long_states(store, cfg, batch, runs, hist_pack.lengths)
     hist = None
     if runs is None or cfg.history_branches != cfg.branches:  # a branch reads the per-row histories

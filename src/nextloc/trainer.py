@@ -28,7 +28,7 @@ from .model import Batch, ModelConfig, build_params, forward
 from .objective import LossBreakdown, LossWeights, total_loss
 from .params import ParamStore
 from .ingest import gc_paused
-from .preprocess import RecordView, SessionizedUser, Vocab, user_rows
+from .preprocess import RecordColumns, RecordView, SessionizedUser, Vocab, user_rows
 
 
 class TrainingDiverged(Exception):
@@ -40,7 +40,7 @@ class TrainingInstance:
     the session that starts where `history` ends. `history` views the
     records of the user's earlier sessions, and all instances of the
     session share it; `prefix`, the session's records before the target,
-    and the targets are read from its columns."""
+    and the target (`target_rows`) are read from its columns."""
 
     __slots__ = ("user_index", "history", "step")
 
@@ -51,19 +51,6 @@ class TrainingInstance:
     def prefix(self) -> RecordView:
         h = self.history
         return RecordView(h.columns, h.stop, h.stop + self.step)
-
-    @property
-    def target_t(self) -> float:
-        """Normalized time of week of the target record."""
-        return self.history.columns.tow[self.history.stop + self.step].item()
-
-    @property
-    def target_cat(self) -> int:
-        return self.history.columns.cat[self.history.stop + self.step].item()
-
-    @property
-    def target_loc(self) -> int:
-        return self.history.columns.loc[self.history.stop + self.step].item()
 
 
 def make_instances(users: list[SessionizedUser], split: str) -> list[TrainingInstance]:
@@ -103,16 +90,26 @@ def _pad(views: list[RecordView]) -> tuple[np.ndarray, ...]:
     return *out, mask.astype(np.float64)
 
 
+def target_rows(instances: list[TrainingInstance]) -> tuple[RecordColumns, np.ndarray]:
+    """The record columns that `instances` view and each instance's target
+    row in them; ValueError when the instances view more than one set."""
+    columns = instances[0].history.columns if instances else RecordColumns(*[()] * len(RecordColumns.DTYPES))
+    if any(inst.history.columns is not columns for inst in instances):
+        raise ValueError("a batch's instances must view one set of record columns")
+    return columns, np.fromiter((inst.history.stop + inst.step for inst in instances), np.intp, len(instances))
+
+
 def batchify(instances: list[TrainingInstance]) -> Batch:
     hist = _pad([inst.history for inst in instances])
     pref = _pad([inst.prefix for inst in instances])
+    columns, rows = target_rows(instances)
     return Batch(
         user=np.array([inst.user_index for inst in instances], dtype=np.intp),
         hist_loc=hist[0], hist_cat=hist[1], hist_hour=hist[2], hist_day=hist[3], hist_mask=hist[4],
         pref_loc=pref[0], pref_cat=pref[1], pref_hour=pref[2], pref_day=pref[3], pref_mask=pref[4],
-        target_t=np.array([inst.target_t for inst in instances], dtype=np.float64),
-        target_cat=np.array([max(inst.target_cat, 0) for inst in instances], dtype=np.intp),
-        target_loc=np.array([inst.target_loc for inst in instances], dtype=np.intp),
+        target_t=columns.tow[rows],
+        target_cat=np.maximum(columns.cat[rows], 0).astype(np.intp),
+        target_loc=columns.loc[rows].astype(np.intp),
     )
 
 

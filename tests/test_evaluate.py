@@ -580,29 +580,35 @@ def test_shared_history_runs_give_the_per_instance_outputs(monkeypatch, variant,
             assert np.array_equal(preds.cat_ranked, ranked)
 
 
-def test_history_rounds_run_each_distinct_record_once_without_a_graph(monkeypatch):
+def test_history_runs_share_one_chain_over_their_distinct_records_without_a_graph(monkeypatch):
     vocab, users, instances = runs_with_empty_histories()
     cfg = small_cfg(vocab, "slsl")
     store = build_params(cfg, seed=1)
     run_gru, seen = model.run_gru, []
-    long_w = {store[f"gru.{b}.long.w_x"] for b in cfg.branches}
+    long_w = [store[f"gru.{b}.long.w_x"] for b in cfg.branches]
 
     def recording_run_gru(w, h0, x, pack, **kwargs):
+        out = run_gru(w, h0, x, pack, **kwargs)
         if any(w.w_x is lw for lw in long_w):
-            seen.append((w.w_x is store["gru.time.long.w_x"], pack.batch, pack.size, kwargs, ad._grad_enabled))
-        return run_gru(w, h0, x, pack, **kwargs)
+            seen.append((pack.batch, pack.size, kwargs, ad.grad_enabled(), out[0]))
+        return out
 
     monkeypatch.setattr(model, "run_gru", recording_run_gru)
     predict(store, cfg, instances)
-    rounds = [s for s in seen if s[0]]
+    assert len(list(step_batches(instances))) == 1
+    assert len(seen) == 3  # one long chain for each of slsl's branches
     ends = {u.user_index: sorted({i.history.stop for i in instances if i.user_index == u.user_index}) for u in users}
     assert all(len(e) == 4 for e in ends.values())
-    assert [r[1] for r in rounds] == [3, 3, 3, 3]  # one row per user in each of four rounds
-    assert rounds[0][2] == 0  # round 0 ends every run's empty history
     records = sum(e[-1] - u.sessions[0].records.start for u, e in zip(users, ends.values()))
-    assert sum(r[2] for r in rounds) == records
-    assert all(r[3] == {"states": False} and r[4] is False for r in rounds)
-    assert len(seen) == 3 * 4  # the three branches' long chains
+    lengths = np.array([len(i.history) for i in instances])
+    assert (lengths == 0).any()
+    for runs, size, kwargs, graph, final in seen:
+        assert (runs, size, graph) == (3, records, False)  # one row per user, each distinct record once
+        assert kwargs.keys() == {"states", "ends"} and kwargs["states"] is False
+        head_of, end_lens = kwargs["ends"]
+        assert len(head_of) == len(instances) and np.array_equal(end_lens, lengths)
+        assert final.shape == (len(instances), cfg.hidden) and final.parents == ()
+        assert not final.value[lengths == 0].any()  # an empty history reads the zero h0
 
 
 def test_a_batch_without_shared_runs_takes_the_per_instance_path(monkeypatch):

@@ -236,3 +236,47 @@ def test_recorded_chain_without_states_backpropagates_as_with_them():
             t.grad = None
     for a, b in zip(*grads):
         assert a.tobytes() == b.tobytes()
+
+
+# CHUNKED has an empty row; the third mask's last column is padding in every row
+ENDS_MASKS = [(CHUNKED, 5), (CHUNKED, 1024), (np.arange(5) < np.array([2, 0, 4, 4, 1])[:, None], 1024)]
+
+
+@pytest.mark.parametrize("mask,budget", ENDS_MASKS)
+def test_ends_read_the_recorded_per_pair_states(monkeypatch, mask, budget):
+    """Every (row, length) of the packing, the empty ones included, in a
+    shuffled order with repeats, reads the recorded chain's state after that
+    many of the row's pairs, h0's row at 0, bit for bit."""
+    rng = np.random.default_rng(13)
+    monkeypatch.setattr(ad, "GRU_CHUNK_PAIRS", budget)
+    pack = ad.Packing(mask)
+    w = GRUWeights(*(ad.parameter(rng.normal(size=s)) for s in ((12, 3), (12, 4), (12,))))
+    x, h0 = ad.parameter(rng.normal(size=(pack.size, 3))), ad.parameter(rng.normal(size=(pack.batch, 4)))
+    _, seq = ad.gru_sequence(x, h0, w, pack)
+    rows = np.concatenate([np.full(n + 1, b) for b, n in enumerate(pack.lengths)])
+    lengths = np.concatenate([np.arange(n + 1) for n in pack.lengths])
+    pick = rng.permutation(np.r_[np.arange(len(rows)), rng.integers(0, len(rows), 5)])
+    rows, lengths = rows[pick], lengths[pick]
+    with ad.no_grad():
+        got, none = ad.gru_sequence(x, h0, w, pack, states=False, ends=(rows, lengths))
+    assert none is None and got.shape == (len(rows), 4) and got.parents == ()
+    for row, (b, n) in zip(got.value, zip(rows, lengths)):
+        want = h0.value[b] if n == 0 else seq.value[np.flatnonzero((pack.rows == b) & (pack.cols == n - 1))[0]]
+        assert row.tobytes() == want.tobytes()
+
+
+def test_ends_need_no_grad_no_per_pair_states_and_lengths_within_the_rows():
+    rng = np.random.default_rng(14)
+    pack = ad.Packing(CHUNKED)  # row 3 has 3 pairs, row 5 none
+    w = GRUWeights(*(ad.parameter(rng.normal(size=s)) for s in ((12, 3), (12, 4), (12,))))
+    x, h0 = ad.constant(rng.normal(size=(pack.size, 3))), ad.constant(np.zeros((6, 4)))
+    ends = (np.array([0, 3]), np.array([2, 3]))
+    with pytest.raises(ad.GradError, match="no_grad"):
+        ad.gru_sequence(x, h0, w, pack, states=False, ends=ends)  # a graph is recorded
+    with ad.no_grad():
+        with pytest.raises(ad.GradError, match="states=False"):
+            ad.gru_sequence(x, h0, w, pack, ends=ends)
+        for rows, lengths in (([3], [4]), ([5], [1]), ([0], [-1])):
+            with pytest.raises(ad.GradError, match="own pairs"):
+                ad.gru_sequence(x, h0, w, pack, states=False, ends=(np.array(rows), np.array(lengths)))
+        assert ad.gru_sequence(x, h0, w, pack, states=False, ends=ends)[0].shape == (2, 4)

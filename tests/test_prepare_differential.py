@@ -72,12 +72,18 @@ def prepare(impl, raw: Path, out: Path, fmt="foursquare", tz=0, min_count=10, mi
 def instance_fields(instances) -> list[tuple]:
     """Each instance as (user, history, prefix, target time, category,
     location), its records as lists, so the reference's instances and the
-    column views compare field by field."""
+    column views compare field by field. The reference's instances hold
+    their targets; the column views' are the rows `trainer.target_rows`
+    names."""
+    if instances and isinstance(instances[0], ref.TrainingInstance):
+        targets = [(i.target_t, i.target_cat, i.target_loc) for i in instances]
+    else:
+        columns, rows = trainer.target_rows(instances)
+        targets = zip(*(getattr(columns, name)[rows].tolist() for name in ("tow", "cat", "loc")))
     histories = {}  # a session's instances share their history
     return [
-        (i.user_index, histories.setdefault(id(i.history), list(i.history)), list(i.prefix), i.target_t,
-         i.target_cat, i.target_loc)
-        for i in instances
+        (i.user_index, histories.setdefault(id(i.history), list(i.history)), list(i.prefix), *target)
+        for i, target in zip(instances, targets, strict=True)
     ]
 
 

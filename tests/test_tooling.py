@@ -2,6 +2,7 @@
 repository's sources."""
 
 import json
+import os
 import runpy
 import subprocess
 import sys
@@ -50,3 +51,15 @@ def test_fixture_regenerates_byte_for_byte(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert out.read_bytes() == (ROOT / "tests" / "data" / "checkins_foursquare.txt").read_bytes()
+
+
+def test_synthetic_demo_runs_end_to_end():
+    """scripts/run_synthetic.py trains and reports both of its variants on
+    a small corpus."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_synthetic.py"), "--users", "6", "--weeks", "6",
+                           "--hidden", "8", "--epochs", "1"], capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    for variant in ("cslsl", "lsl"):
+        assert sum(line.startswith(f"{variant}: best recall@1=") for line in lines) == 1, done.stdout

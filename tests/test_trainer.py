@@ -95,12 +95,31 @@ def test_instance_count_matches_enumeration_oracle():
 
 
 def test_targets_are_the_next_record():
-    u = user_with_session_lengths([3])
-    inst = make_instances([u], "train")[0]
-    assert len(inst.prefix) == 1
-    target = list(u.sessions[0].records)[1]
-    assert inst.target_loc == target.loc
-    assert inst.target_t == target.tow
+    records = [rec(loc=i % 3, cat=(-1, 2)[i % 2], hour=8 + i, week=i // 3) for i in range(7)]
+    u = share_columns([SessionizedUser(0, [Session(202301, records[:3]), Session(202302, records[3:])], 2)])[0]
+    instances = make_instances([u], "train")
+    assert [len(i.prefix) for i in instances] == [1, 2, 1, 2, 3]
+    want = records[1:3] + records[4:]
+    batch = batchify(instances)
+    assert batch.target_t.tolist() == [r.tow for r in want]
+    assert batch.target_loc.tolist() == [r.loc for r in want]
+    assert batch.target_cat.tolist() == [max(r.cat, 0) for r in want]
+    assert batch.target_t.dtype == np.float64 and batch.target_cat.dtype == batch.target_loc.dtype == np.intp
+    columns, rows = trainer.target_rows(instances)
+    assert columns.cat[rows].tolist() == [r.cat for r in want]  # unclamped
+
+
+def test_batchify_refuses_instances_over_two_sets_of_columns():
+    a, b = (make_instances([user_with_session_lengths([3])], "train") for _ in range(2))
+    with pytest.raises(ValueError, match="one set of record columns"):
+        batchify(a + b)
+
+
+def test_batchify_of_no_instances_is_an_empty_batch():
+    batch = batchify([])
+    assert batch.size == 0 and batch.hist_mask.shape == batch.pref_mask.shape == (0, 0)
+    for a, dtype in ((batch.target_t, np.float64), (batch.target_cat, np.intp), (batch.target_loc, np.intp)):
+        assert a.shape == (0,) and a.dtype == dtype
 
 
 def test_record_view_behaves_as_the_list_it_shows():
@@ -349,7 +368,7 @@ def test_overfit_single_instance():
     assert all(b <= a + 1e-9 for a, b in zip(tail, tail[1:]))
     batch = batchify(inst)
     state = forward(store, cfg, batch)
-    assert int(state.loc_logits.value.argmax()) == inst[0].target_loc
+    assert int(state.loc_logits.value.argmax()) == batch.target_loc[0]
 
 
 def test_no_test_target_leakage():
